@@ -1,10 +1,12 @@
 // Per-processor AD-translation cache: the Phase 3 consumer of the interference analysis.
 //
-// Every object touch in the interpreter funnels through ObjectTable::Resolve — a capacity
-// check plus allocated/generation validation per access, roughly a dozen times per
-// instruction once context fields, registers, and cycle accounting are counted. On the real
-// 432 each processor kept the hot descriptors in an on-chip cache; this class is that
-// structure for the emulator, a small direct-mapped array bound into the AddressingUnit by
+// Every checked access through the AddressingUnit funnels through ObjectTable::Resolve — a
+// capacity check plus allocated/generation validation per access. The running process's own
+// context, process and processor objects bypass it (the kernel pins their descriptors once
+// per instruction; see ObjectView in proc/layouts.h), so what reaches it per instruction is
+// the program fetch and the operand objects the instruction touches. On the real 432 each
+// processor kept the hot descriptors in an on-chip cache; this class is that structure for
+// the emulator, a small direct-mapped array bound into the AddressingUnit by
 // Kernel::ProcessorStep when SystemConfig::xlat_cache is set.
 //
 // Entries come in two tiers (DESIGN.md §6.4):

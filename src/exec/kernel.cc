@@ -666,15 +666,25 @@ Cycles Kernel::ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute
   Cycles duration = done - start;
   proc.Increment(ProcessLayout::kOffConsumed, 8, duration);
   proc.set_slice_used(proc.slice_used() + duration);
-  ObjectView(&machine_->addressing(), rec.object)
+  ObjectView(&machine_->addressing(), rec.object, kPin)
       .Increment(ProcessorLayout::kOffBusyCycles, 8, duration);
   return done;
 }
 
 void Kernel::ProcessorStep(uint16_t processor_id) {
+  Cycles next = 0;
+  while (StepInstruction(processor_id, &next)) {
+    if (!machine_->events().TryContinueAt(next)) {
+      machine_->events().ScheduleAt(next, [this, processor_id] { ProcessorStep(processor_id); });
+      return;
+    }
+  }
+}
+
+bool Kernel::StepInstruction(uint16_t processor_id, Cycles* next) {
   ProcessorRec& rec = processors_[processor_id];
   if (rec.halted || rec.current.is_null()) {
-    return;
+    return false;
   }
   if (machine_->now() < rec.stall_until) {
     // Transient stall: the bound process resumes exactly here once the stall lifts.
@@ -682,7 +692,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
                                    rec.stall_until - machine_->now());
     machine_->events().ScheduleAt(rec.stall_until,
                                   [this, processor_id] { ProcessorStep(processor_id); });
-    return;
+    return false;
   }
   if (xlat_cache_enabled_) {
     // Per-processor translation cache: rebound every step so the addressing unit always
@@ -691,7 +701,9 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     machine_->addressing().BindXlatCache(&rec.xlat);
     audit_cpu_ = processor_id;
   }
-  ProcessView proc = process_view(rec.current);
+  // The running process's system objects are validated once here, then read and written
+  // through their pinned descriptors for the rest of the instruction (DESIGN.md §10).
+  ProcessView proc(&machine_->addressing(), rec.current, kPin);
 
   // Honor stops at instruction boundaries ("nested stopping and starting of processes").
   if (proc.stop_count() > 0) {
@@ -700,10 +712,10 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kDispatch, cycles::kSimpleOp);
     machine_->events().ScheduleAfter(cycles::kSimpleOp,
                                      [this, processor_id] { ProcessorFetch(processor_id); });
-    return;
+    return false;
   }
 
-  ContextView ctx(&machine_->addressing(), proc.context());
+  ContextView ctx(&machine_->addressing(), proc.context(), kPin);
   const Program* program_ptr = nullptr;
   const DecodedSegment* decoded = nullptr;
   ProgramRef program_ref;  // keeps the uncached fetch's program alive through this step
@@ -715,7 +727,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
                                      cycles::kDispatch);
       machine_->events().ScheduleAfter(cycles::kDispatch,
                                        [this, processor_id] { ProcessorFetch(processor_id); });
-      return;
+      return false;
     }
     decoded = fetched.value();
     program_ptr = decoded->program;
@@ -727,7 +739,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
                                      cycles::kDispatch);
       machine_->events().ScheduleAfter(cycles::kDispatch,
                                        [this, processor_id] { ProcessorFetch(processor_id); });
-      return;
+      return false;
     }
     program_ptr = cached.value();
   } else {
@@ -738,7 +750,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
                                      cycles::kDispatch);
       machine_->events().ScheduleAfter(cycles::kDispatch,
                                        [this, processor_id] { ProcessorFetch(processor_id); });
-      return;
+      return false;
     }
     program_ref = program_result.value();
     program_ptr = program_ref.get();
@@ -794,7 +806,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
           Cycles done = ChargeCycles(rec, proc, cost.value(), 0, CycleBucket::kMemoryWait);
           machine_->events().ScheduleAt(done,
                                         [this, processor_id] { ProcessorStep(processor_id); });
-          return;
+          return false;
         }
         fault = cost.fault();
       }
@@ -804,7 +816,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
                                      cycles::kDispatch);
       machine_->events().ScheduleAfter(cycles::kDispatch,
                                        [this, processor_id] { ProcessorFetch(processor_id); });
-      return;
+      return false;
     }
     effect = result.value();
   }
@@ -832,8 +844,8 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
         machine_->events().ScheduleAt(done,
                                       [this, processor_id] { ProcessorFetch(processor_id); });
       } else {
-        machine_->events().ScheduleAt(done,
-                                      [this, processor_id] { ProcessorStep(processor_id); });
+        *next = done;
+        return true;
       }
       break;
     }
@@ -860,6 +872,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
       break;
     }
   }
+  return false;
 }
 
 void Kernel::NoteAccess(uint16_t cpu, ProcessView& proc, ContextView& ctx, ObjectIndex object,

@@ -7,9 +7,11 @@
 // disposes of the complex objects (processes, contexts, domains), and delivers faults to
 // fault ports under the iMAX internal-level rules (§7.3).
 //
-// All activity happens in virtual time on the Machine's event queue; each processor executes
-// one instruction per event, with compute cycles local and bus cycles serialized on the
-// shared interconnect.
+// All activity happens in virtual time on the Machine's event queue. A processor's step is an
+// event; after an instruction that leaves its process running, the step goes straight on to
+// the next instruction when that one would be the next event anyway, and schedules it
+// otherwise (EventQueue::TryContinueAt). Compute cycles are local to the processor; bus
+// cycles are serialized on the shared interconnect.
 
 #ifndef IMAX432_SRC_EXEC_KERNEL_H_
 #define IMAX432_SRC_EXEC_KERNEL_H_
@@ -200,7 +202,9 @@ class Kernel {
   void Run() { machine_->events().RunUntilIdle(); }
   // Runs events up to the given virtual time.
   void RunUntil(Cycles deadline) { machine_->events().RunUntil(deadline); }
-  uint64_t RunBounded(uint64_t max_events) { return machine_->events().RunBounded(max_events); }
+  // Runs at most `max_steps` events and inline-continued instructions; returns the number of
+  // events popped.
+  uint64_t RunBounded(uint64_t max_steps) { return machine_->events().RunBounded(max_steps); }
   Cycles now() const { return machine_->now(); }
 
   // --- Introspection ---
@@ -375,8 +379,14 @@ class Kernel {
     Cycles bus = 0;
   };
 
-  // One instruction for the process on processor `rec`.
+  // Runs the process bound to the processor: one instruction, then each following one that
+  // would be the next event anyway (EventQueue::TryContinueAt); otherwise schedules itself.
   void ProcessorStep(uint16_t processor_id);
+  // One instruction, with the running process's system objects pinned (ObjectView, kPin).
+  // Returns true, with its completion time in `*next`, when the process goes on to its next
+  // instruction here: a kContinue step inside the time slice. Otherwise the step has already
+  // scheduled whatever comes next.
+  bool StepInstruction(uint16_t processor_id, Cycles* next);
   // Tries to bind the next ready process; goes idle if none.
   void ProcessorFetch(uint16_t processor_id);
   // Binds `process` to the processor and schedules its first step after dispatch latency.

@@ -3,14 +3,16 @@
 // Each system object's state lives in its segment (data part scalars, access part ADs) so it
 // is visible to the GC, subject to the protection rules, and inspectable by programs on the
 // machine — there is deliberately no C++-side copy of any field that the paper describes as
-// being in the object. Views are used by kernel-trusted code holding full-rights ADs;
-// protection violations inside a view indicate a kernel bug and CHECK-fail rather than fault.
+// being in the object; a pinned view holds the object's descriptor, never its fields. Views
+// are used by kernel-trusted code holding full-rights ADs; protection violations inside a
+// view indicate a kernel bug and CHECK-fail rather than fault.
 
 #ifndef IMAX432_SRC_PROC_LAYOUTS_H_
 #define IMAX432_SRC_PROC_LAYOUTS_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 #include "src/arch/addressing_unit.h"
 #include "src/base/check.h"
@@ -185,37 +187,53 @@ struct TdoLayout {
 // Typed field access helpers.
 // ---------------------------------------------------------------------------
 
+// Selects the pinned ObjectView constructor.
+struct PinTag {};
+inline constexpr PinTag kPin{};
+
 // Reads/writes one scalar field of a system object through the addressing unit, CHECKing
 // success: callers are kernel code holding known-good full-rights ADs.
+//
+// A pinned view (constructed with kPin) holds its object's descriptor the way the 432 GDP
+// held the running process's on chip. The descriptor is validated once, at construction:
+// allocated, matching generation, not quarantined, resident, read+write rights. Fields are
+// then read and written through it with no table resolve and no translation probe. Every
+// access still checks liveness and bounds, so touching a pinned view of a destroyed object
+// aborts like any other view; every data write bumps data_epoch as the checked path does;
+// and slot writes still go through WriteAdPrivileged, which shades the moved AD gray. A view
+// that fails validation takes the checked path.
 class ObjectView {
  public:
   ObjectView(AddressingUnit* unit, const AccessDescriptor& ad) : unit_(unit), ad_(ad) {}
+  ObjectView(AddressingUnit* unit, const AccessDescriptor& ad, PinTag)
+      : unit_(unit), ad_(ad), pinned_(Pinnable(unit, ad)) {}
 
   uint64_t Field(uint32_t offset, uint32_t width) const {
-    auto value = unit_->ReadData(ad_, offset, width);
-    if (!value.ok()) {
-      std::fprintf(stderr, "ObjectView::Field fault %s: object %u offset %u width %u\n",
-                   FaultName(value.fault()), ad_.index(), offset, width);
-      IMAX_CHECK(value.ok());
+    if (pinned_ == nullptr) {
+      return CheckedField(offset, width);
     }
-    return value.value();
+    uint64_t value = 0;
+    std::memcpy(&value, PinnedData(offset, width), width);
+    return value;
   }
   void SetField(uint32_t offset, uint32_t width, uint64_t value) {
-    Status status = unit_->WriteData(ad_, offset, width, value);
-    if (!status.ok()) {
-      std::fprintf(stderr, "ObjectView::SetField fault %s: object %u offset %u width %u\n",
-                   FaultName(status.fault()), ad_.index(), offset, width);
-      IMAX_CHECK(status.ok());
+    if (pinned_ == nullptr) {
+      CheckedSetField(offset, width, value);
+      return;
     }
+    std::memcpy(PinnedData(offset, width), &value, width);
+    ++pinned_->data_epoch;
   }
   void Increment(uint32_t offset, uint32_t width, uint64_t delta = 1) {
     SetField(offset, width, Field(offset, width) + delta);
   }
 
   AccessDescriptor Slot(uint32_t slot) const {
-    auto ad = unit_->ReadAd(ad_, slot);
-    IMAX_CHECK(ad.ok());
-    return ad.value();
+    if (pinned_ == nullptr) {
+      return CheckedSlot(slot);
+    }
+    CheckPinned(slot < pinned_->access_count(), slot, 0);
+    return pinned_->access[slot];
   }
   // Views write slots through the privileged (microcode) store: system-object linkage and
   // register files are exempt from the level rule; mutator stores (kStoreAd and message
@@ -228,8 +246,70 @@ class ObjectView {
   AddressingUnit* unit() const { return unit_; }
 
  private:
+  // The addressing-unit paths, kept out of line so the pinned paths inline at every call.
+  __attribute__((noinline)) uint64_t CheckedField(uint32_t offset, uint32_t width) const {
+    auto value = unit_->ReadData(ad_, offset, width);
+    if (!value.ok()) {
+      std::fprintf(stderr, "ObjectView::Field fault %s: object %u offset %u width %u\n",
+                   FaultName(value.fault()), ad_.index(), offset, width);
+      IMAX_CHECK(value.ok());
+    }
+    return value.value();
+  }
+  __attribute__((noinline)) void CheckedSetField(uint32_t offset, uint32_t width,
+                                                 uint64_t value) {
+    Status status = unit_->WriteData(ad_, offset, width, value);
+    if (!status.ok()) {
+      std::fprintf(stderr, "ObjectView::SetField fault %s: object %u offset %u width %u\n",
+                   FaultName(status.fault()), ad_.index(), offset, width);
+      IMAX_CHECK(status.ok());
+    }
+  }
+  __attribute__((noinline)) AccessDescriptor CheckedSlot(uint32_t slot) const {
+    auto ad = unit_->ReadAd(ad_, slot);
+    IMAX_CHECK(ad.ok());
+    return ad.value();
+  }
+
+  // The descriptor behind `ad` if a view may pin it, else null.
+  static ObjectDescriptor* Pinnable(AddressingUnit* unit, const AccessDescriptor& ad) {
+    if (!ad.HasRights(rights::kRead | rights::kWrite)) {
+      return nullptr;
+    }
+    auto resolved = unit->table().Resolve(ad);
+    if (!resolved.ok() || resolved.value()->quarantined || resolved.value()->swapped_out) {
+      return nullptr;
+    }
+    return resolved.value();
+  }
+
+  // Aborts unless the pinned object is still the live, resident, unquarantined object the
+  // view pinned and the access is `in_bounds`.
+  void CheckPinned(bool in_bounds, uint32_t offset, uint32_t width) const {
+    if (!in_bounds || !pinned_->allocated || pinned_->generation != ad_.generation() ||
+        pinned_->quarantined || pinned_->swapped_out) {
+      PinnedAccessFailed(offset, width);
+    }
+  }
+  [[noreturn]] __attribute__((noinline, cold)) void PinnedAccessFailed(uint32_t offset,
+                                                                       uint32_t width) const {
+    std::fprintf(stderr,
+                 "ObjectView: pinned access to a dead object or out of bounds: object %u "
+                 "offset %u width %u\n",
+                 ad_.index(), offset, width);
+    std::abort();
+  }
+
+  // Host address of a pinned data-part field, after the per-access checks.
+  uint8_t* PinnedData(uint32_t offset, uint32_t width) const {
+    CheckPinned(width <= 8 && static_cast<uint64_t>(offset) + width <= pinned_->data_length,
+                offset, width);
+    return unit_->memory().at(pinned_->data_base + offset);
+  }
+
   AddressingUnit* unit_;
   AccessDescriptor ad_;
+  ObjectDescriptor* pinned_ = nullptr;  // set only by the kPin constructor
 };
 
 // Process view with named accessors.

@@ -4,6 +4,8 @@
 
 #include "src/memory/basic_memory_manager.h"
 #include "src/memory/swapping_memory_manager.h"
+#include "src/os/patrol.h"
+#include "src/os/system.h"
 #include "src/sim/machine.h"
 
 namespace imax432 {
@@ -771,6 +773,114 @@ TEST_F(KernelTest, ConsumedCyclesAccounted) {
   // Consumed covers the compute plus instruction overheads.
   EXPECT_GE(View(process).consumed(), 8000u);
   EXPECT_LT(View(process).consumed(), 9000u);
+}
+
+TEST_F(KernelTest, RunBoundedCountsInstructionsContinuedInline) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  Assembler a("straight-line");
+  auto loop = a.NewLabel();
+  a.Bind(loop);
+  for (int i = 0; i < 64; ++i) {
+    a.AddImm(0, 0, 1);
+  }
+  a.Branch(loop);
+  AccessDescriptor process = Spawn(a.Build());
+  ASSERT_EQ(kernel_.RunBounded(1), 1u);  // the processor fetches and binds the process
+  ASSERT_EQ(kernel_.stats().instructions_executed, 0u);
+  ContextView ctx(&machine_.addressing(), View(process).context());
+
+  // One step is popped from the queue and the rest continue inline; each is one step of the
+  // bound.
+  EXPECT_EQ(kernel_.RunBounded(40), 1u);
+  EXPECT_EQ(kernel_.stats().instructions_executed, 40u);
+  EXPECT_EQ(ctx.pc(), 40u);
+  EXPECT_EQ(ctx.reg(0), 40u);
+  EXPECT_EQ(kernel_.RunBounded(7), 1u);
+  EXPECT_EQ(ctx.pc(), 47u);
+}
+
+TEST(KernelPinningTest, PatrolSweepsDuringATwoGdpLoopFindNothing) {
+  SystemConfig config;
+  config.processors = 2;
+  config.machine.memory_bytes = 1024 * 1024;
+  config.machine.object_table_capacity = 2048;
+  config.start_patrol_daemon = true;
+  System system(config);
+  std::vector<AccessDescriptor> counters;
+  std::vector<AccessDescriptor> contexts;
+  for (int i = 0; i < 2; ++i) {
+    Assembler a("bump-forever");
+    auto loop = a.NewLabel();
+    a.MoveAd(1, kArgAdReg)
+        .Bind(loop)
+        .LoadData(0, 1, 0, 8)
+        .AddImm(0, 0, 1)
+        .StoreData(1, 0, 0, 8)
+        .Branch(loop);
+    auto counter = system.memory().CreateObject(system.memory().global_heap(),
+                                                SystemType::kGeneric, 8, 0,
+                                                rights::kRead | rights::kWrite);
+    ASSERT_TRUE(counter.ok());
+    ProcessOptions options;
+    options.initial_arg = counter.value();
+    options.priority = 1;  // below the patrol daemon, so a slice end hands it a GDP
+    auto process = system.Spawn(a.Build(), options);
+    ASSERT_TRUE(process.ok());
+    counters.push_back(counter.value());
+    contexts.push_back(system.kernel().process_view(process.value()).context());
+  }
+  system.RunUntil(200000);  // both loops are running, one per GDP
+  ObjectTable& table = system.machine().table();
+  uint64_t epochs_before = 0;
+  for (const AccessDescriptor& context : contexts) {
+    epochs_before += table.At(context.index()).data_epoch;
+  }
+  uint64_t counted_before = 0;
+  for (const AccessDescriptor& counter : counters) {
+    counted_before += system.machine().addressing().ReadData(counter, 0, 8).value();
+  }
+
+  ASSERT_TRUE(system.RequestPatrolSweep().ok());
+  ASSERT_TRUE(system.RequestPatrolSweep().ok());
+  for (int slice = 0; slice < 1000 && system.patrol().stats().sweeps_completed < 2; ++slice) {
+    system.RunUntil(system.now() + 10000);
+  }
+  const PatrolStats& stats = system.patrol().stats();
+  ASSERT_EQ(stats.sweeps_completed, 2u);
+  EXPECT_EQ(stats.objects_quarantined, 0u);
+  EXPECT_EQ(stats.checksum_failures, 0u);
+  EXPECT_EQ(stats.invariant_failures, 0u);
+  EXPECT_EQ(stats.data_crc_failures, 0u);
+
+  // The loops kept running while the patrol swept, and every instruction's pc update, a
+  // pinned write, bumped its context's data epoch.
+  uint64_t epochs_after = 0;
+  for (const AccessDescriptor& context : contexts) {
+    epochs_after += table.At(context.index()).data_epoch;
+  }
+  uint64_t counted_after = 0;
+  for (const AccessDescriptor& counter : counters) {
+    counted_after += system.machine().addressing().ReadData(counter, 0, 8).value();
+  }
+  EXPECT_GT(counted_after, counted_before);
+  EXPECT_GE(epochs_after - epochs_before, 4 * (counted_after - counted_before));
+}
+
+using KernelDeathTest = KernelTest;
+
+TEST_F(KernelDeathTest, PinnedViewOfADestroyedContextAborts) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  Assembler a("short");
+  a.LoadImm(0, 1).Halt();
+  AccessDescriptor process = Spawn(a.Build());
+  ContextView ctx(&machine_.addressing(), View(process).context(), kPin);
+  ctx.set_reg(1, 5);
+  EXPECT_EQ(ctx.reg(1), 5u);
+  kernel_.Run();  // termination destroys the stack SRO and every context in it
+  ASSERT_EQ(View(process).state(), ProcessState::kTerminated);
+  EXPECT_DEATH((void)ctx.reg(1), "pinned access to a dead object");
+  EXPECT_DEATH(ctx.set_pc(0), "pinned access to a dead object");
+  EXPECT_DEATH((void)ctx.ad_reg(0), "pinned access to a dead object");
 }
 
 }  // namespace

@@ -87,5 +87,76 @@ TEST(EventQueueTest, ClockNeverGoesBackward) {
   EXPECT_TRUE(monotone);
 }
 
+// Takes steps `period` cycles apart until `*steps` reaches `limit`: inline whenever the
+// queue allows it, as the kernel's processor step does, and as a scheduled event otherwise.
+void Step(EventQueue& queue, Cycles period, int limit, int* steps) {
+  do {
+    ++*steps;
+  } while (*steps < limit && queue.TryContinueAt(queue.now() + period));
+  if (*steps < limit) {
+    queue.ScheduleAfter(period,
+                        [&queue, period, limit, steps] { Step(queue, period, limit, steps); });
+  }
+}
+
+TEST(EventQueueTest, ContinuationIsRefusedAtOrAfterAPendingEvent) {
+  EventQueue queue;
+  std::vector<bool> allowed;
+  queue.ScheduleAt(0, [&] {
+    allowed.push_back(queue.TryContinueAt(20));  // a tie: the pending event runs first
+    allowed.push_back(queue.TryContinueAt(30));
+    allowed.push_back(queue.TryContinueAt(19));
+    allowed.push_back(queue.now() == 19);
+  });
+  queue.ScheduleAt(20, [] {});
+  EXPECT_EQ(queue.RunUntilIdle(), 2u);
+  EXPECT_EQ(allowed, (std::vector<bool>{false, false, true, true}));
+}
+
+TEST(EventQueueTest, ContinuationIsRefusedPastTheRunUntilDeadline) {
+  EventQueue queue;
+  bool past = true;
+  bool at = false;
+  queue.ScheduleAt(0, [&] {
+    past = queue.TryContinueAt(101);
+    at = queue.TryContinueAt(100);
+  });
+  EXPECT_EQ(queue.RunUntil(100), 1u);
+  EXPECT_FALSE(past);
+  EXPECT_TRUE(at);
+  EXPECT_EQ(queue.now(), 100u);
+}
+
+TEST(EventQueueTest, ContinuationIsRefusedOutsideAnyRun) {
+  EventQueue queue;
+  EXPECT_FALSE(queue.TryContinueAt(0));
+  queue.ScheduleAt(5, [] {});
+  queue.RunUntilIdle();
+  EXPECT_FALSE(queue.TryContinueAt(10));  // a finished run leaves no bounds behind
+  EXPECT_EQ(queue.now(), 5u);
+}
+
+TEST(EventQueueTest, ContinuationsCountAgainstTheRunBoundedLimit) {
+  EventQueue queue;
+  int steps = 0;
+  queue.ScheduleAt(0, [&] { Step(queue, 1, 1000, &steps); });
+  EXPECT_EQ(queue.RunBounded(100), 1u);  // one pop, then 99 continuations
+  EXPECT_EQ(steps, 100);
+  EXPECT_EQ(queue.now(), 99u);
+  EXPECT_EQ(queue.pending(), 1u);  // the refused next step was scheduled instead
+  EXPECT_EQ(queue.RunBounded(50), 1u);
+  EXPECT_EQ(steps, 150);
+}
+
+TEST(EventQueueTest, ContinuationsAreNotCountedInTheReturnValue) {
+  EventQueue queue;
+  int steps = 0;
+  queue.ScheduleAt(0, [&] { Step(queue, 1, 10, &steps); });
+  queue.ScheduleAt(5, [] {});  // the step due at 5 queues behind this event
+  EXPECT_EQ(queue.RunUntil(100), 3u);  // the first step, the event at 5, the step at 5
+  EXPECT_EQ(steps, 10);
+  EXPECT_EQ(queue.now(), 9u);
+}
+
 }  // namespace
 }  // namespace imax432
