@@ -54,39 +54,24 @@ inline void StoreScalar(uint8_t* p, uint32_t width, uint64_t value) {
 }
 
 // A fused-fast-path probe: a translation hit plus every per-access check CheckDataAccess
-// performs, evaluated on the already-probed entry in one branch chain. Returns {nullptr,
-// nullptr} on any miss or check failure, sending the caller to the layered slow path —
-// which owns fault selection, so fault semantics are byte-identical with the cache bound.
-struct FastDataHit {
-  XlatEntry* entry = nullptr;
-  ObjectDescriptor* descriptor = nullptr;
-};
-
-inline FastDataHit ProbeFastDataHit(XlatCache* xlat, const PhysicalMemory& memory,
-                                    const AccessDescriptor& ad, uint32_t offset,
-                                    uint32_t width, RightsMask required) {
-  FastDataHit hit;
+// performs, evaluated on the already-probed entry in one branch chain. Returns nullptr on
+// any miss or check failure, sending the caller to the layered slow path — which owns fault
+// selection, so fault semantics are byte-identical with the cache bound.
+inline ObjectDescriptor* ProbeFastDataHit(XlatCache* xlat, const PhysicalMemory& memory,
+                                          const AccessDescriptor& ad, uint32_t offset,
+                                          uint32_t width, RightsMask required) {
   XlatEntry& entry = xlat->Probe(ad.index());
-  if (entry.descriptor == nullptr || entry.index != ad.index() ||
-      entry.generation != ad.generation()) {
-    return hit;
-  }
   ObjectDescriptor* descriptor = entry.descriptor;
-  // Certified entries skip the liveness revalidation under the interference analysis's
-  // immutability proof; epoch-keyed entries replicate Resolve's checks.
-  if (!entry.certified &&
-      !(descriptor->allocated && descriptor->generation == ad.generation())) {
-    return hit;
-  }
-  if (descriptor->quarantined || descriptor->swapped_out || !ad.HasRights(required) ||
+  if (descriptor == nullptr || entry.index != ad.index() ||
+      entry.generation != ad.generation() || !descriptor->allocated ||
+      descriptor->generation != ad.generation() || descriptor->quarantined ||
+      descriptor->swapped_out || !ad.HasRights(required) ||
       static_cast<uint64_t>(offset) + width > descriptor->data_length ||
       !memory.InRange(descriptor->data_base + offset, width) ||
       (width != 1 && width != 2 && width != 4 && width != 8)) {
-    return hit;
+    return nullptr;
   }
-  hit.entry = &entry;
-  hit.descriptor = descriptor;
-  return hit;
+  return descriptor;
 }
 
 }  // namespace
@@ -106,9 +91,6 @@ Result<ObjectDescriptor*> AddressingUnit::ResolveAndFill(const AccessDescriptor&
     entry.generation = ad.generation();
   }
   entry.descriptor = descriptor;
-  entry.data_epoch = descriptor->data_epoch;
-  entry.type = static_cast<uint8_t>(descriptor->type);
-  entry.certified = xlat_->IsCertified(ad.index());
   return resolved;
 }
 
@@ -134,15 +116,10 @@ Result<PhysAddr> AddressingUnit::CheckDataAccess(const AccessDescriptor& ad, uin
 Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t offset,
                                           uint32_t width) const {
   if (xlat_ != nullptr) {
-    FastDataHit hit = ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kRead);
-    if (hit.descriptor != nullptr) {
-      if (hit.entry->certified) {
-        ++xlat_->stats().certified_hits;
-        xlat_->NotifyCertifiedHit(*hit.entry);
-      } else {
-        ++xlat_->stats().hits;
-      }
-      return LoadScalar(memory_->at(hit.descriptor->data_base + offset), width);
+    if (ObjectDescriptor* hit =
+            ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kRead)) {
+      ++xlat_->stats().hits;
+      return LoadScalar(memory_->at(hit->data_base + offset), width);
     }
   }
   if (width != 1 && width != 2 && width != 4 && width != 8) {
@@ -155,17 +132,12 @@ Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t o
 Status AddressingUnit::WriteData(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
                                  uint64_t value) {
   if (xlat_ != nullptr) {
-    FastDataHit hit = ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kWrite);
-    if (hit.descriptor != nullptr) {
-      if (hit.entry->certified) {
-        ++xlat_->stats().certified_hits;
-        xlat_->NotifyCertifiedHit(*hit.entry);
-      } else {
-        ++xlat_->stats().hits;
-      }
-      StoreScalar(memory_->at(hit.descriptor->data_base + offset), width, value);
+    if (ObjectDescriptor* hit =
+            ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kWrite)) {
+      ++xlat_->stats().hits;
+      StoreScalar(memory_->at(hit->data_base + offset), width, value);
       // Same epoch bump as the slow path, on the descriptor already in hand.
-      ++hit.descriptor->data_epoch;
+      ++hit->data_epoch;
       return Status::Ok();
     }
   }
@@ -192,56 +164,6 @@ Status AddressingUnit::WriteDataBlock(const AccessDescriptor& ad, uint32_t offse
   IMAX_RETURN_IF_FAULT(memory_->WriteBlock(addr, in, length));
   ++table_->At(ad.index()).data_epoch;
   return Status::Ok();
-}
-
-Result<uint64_t> AddressingUnit::ReadDataElided(const AccessDescriptor& ad, uint32_t offset,
-                                                uint32_t width) const {
-  IMAX_ASSIGN_OR_RETURN(const ObjectDescriptor* object, CachedResolve(ad));
-  if (object->quarantined) {
-    return Fault::kObjectQuarantined;
-  }
-  if (object->swapped_out) {
-    last_swapped_object_ = ad.index();
-    return Fault::kSegmentSwapped;
-  }
-  const PhysAddr addr = static_cast<PhysAddr>(object->data_base + offset);
-  if (!memory_->InRange(addr, width)) {
-    return Fault::kBoundsViolation;
-  }
-  return LoadScalar(memory_->at(addr), width);
-}
-
-Status AddressingUnit::WriteDataElided(const AccessDescriptor& ad, uint32_t offset,
-                                       uint32_t width, uint64_t value) {
-  IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * object, CachedResolve(ad));
-  if (object->quarantined) {
-    return Fault::kObjectQuarantined;
-  }
-  if (object->swapped_out) {
-    last_swapped_object_ = ad.index();
-    return Fault::kSegmentSwapped;
-  }
-  const PhysAddr addr = static_cast<PhysAddr>(object->data_base + offset);
-  if (!memory_->InRange(addr, width)) {
-    return Fault::kBoundsViolation;
-  }
-  StoreScalar(memory_->at(addr), width, value);
-  // Same epoch bump as the full path, on the descriptor already in hand.
-  ++object->data_epoch;
-  return Status::Ok();
-}
-
-Result<AccessDescriptor> AddressingUnit::ReadAdElided(const AccessDescriptor& container,
-                                                      uint32_t slot) const {
-  IMAX_ASSIGN_OR_RETURN(const ObjectDescriptor* object, CachedResolve(container));
-  if (object->quarantined) {
-    return Fault::kObjectQuarantined;
-  }
-  if (slot >= object->access_count()) {
-    // Defense in depth: a wrong certificate must not index past the access vector.
-    return Fault::kBoundsViolation;
-  }
-  return object->access[slot];
 }
 
 Result<AccessDescriptor> AddressingUnit::ReadAd(const AccessDescriptor& container,

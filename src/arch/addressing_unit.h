@@ -58,20 +58,6 @@ class AddressingUnit {
   Status WriteAdPrivileged(const AccessDescriptor& container, uint32_t slot,
                            const AccessDescriptor& ad);
 
-  // --- Check-elided fast paths (guard-dominance Phase 3; see analysis/guards/guards.h) ---
-  // The caller holds an ElisionCertificate proving the rights and bounds checks were
-  // performed by a dominating instruction on every path to this site. Liveness/generation
-  // (via CachedResolve), quarantine, and residency remain dynamic, so the elided path
-  // faults identically to the full path on everything the certificate does not cover; what
-  // is skipped is exactly the HasRights test and the data/slot bounds compare. Widths are
-  // certified statically valid. A host-memory range check is kept as defense in depth
-  // against a wrong certificate (the guard auditor is the diagnostic surface for that).
-  Result<uint64_t> ReadDataElided(const AccessDescriptor& ad, uint32_t offset,
-                                  uint32_t width) const;
-  Status WriteDataElided(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
-                         uint64_t value);
-  Result<AccessDescriptor> ReadAdElided(const AccessDescriptor& container, uint32_t slot) const;
-
   // --- Typed resolution helpers used by the high-level instructions ---
   // Resolves and checks the object's system type and that the AD carries `required` rights.
   Result<ObjectDescriptor*> ResolveTyped(const AccessDescriptor& ad, SystemType type,
@@ -92,10 +78,9 @@ class AddressingUnit {
 
   // Binds (or unbinds, with nullptr) a per-processor AD-translation cache
   // (SystemConfig::xlat_cache). Every Resolve in this unit then goes through CachedResolve:
-  // an epoch-keyed hit replicates Resolve's allocated/generation checks on the cached
-  // descriptor pointer; a certified hit skips them under the interference analysis's
-  // immutability proof. Rights, bounds, quarantine, swap state, and data_base stay per-access
-  // on the resolved descriptor, so fault semantics are byte-identical with the cache bound.
+  // a hit replicates Resolve's allocated/generation checks on the cached descriptor pointer.
+  // Rights, bounds, quarantine, swap state, and data_base stay per-access on the resolved
+  // descriptor, so fault semantics are byte-identical with the cache bound.
   void BindXlatCache(XlatCache* cache) { xlat_ = cache; }
   XlatCache* xlat_cache() const { return xlat_; }
 
@@ -113,16 +98,10 @@ class AddressingUnit {
     if (xlat_ != nullptr) {
       XlatEntry& entry = xlat_->Probe(ad.index());
       if (entry.descriptor != nullptr && entry.index == ad.index() &&
-          entry.generation == ad.generation()) {
-        if (entry.certified) {
-          ++xlat_->stats().certified_hits;
-          xlat_->NotifyCertifiedHit(entry);
-          return entry.descriptor;
-        }
-        if (entry.descriptor->allocated && entry.descriptor->generation == ad.generation()) {
-          ++xlat_->stats().hits;
-          return entry.descriptor;
-        }
+          entry.generation == ad.generation() && entry.descriptor->allocated &&
+          entry.descriptor->generation == ad.generation()) {
+        ++xlat_->stats().hits;
+        return entry.descriptor;
       }
       return ResolveAndFill(ad);
     }

@@ -1,4 +1,4 @@
-// Per-processor AD-translation cache: the Phase 3 consumer of the interference analysis.
+// Per-processor AD-translation cache.
 //
 // Every checked access through the AddressingUnit funnels through ObjectTable::Resolve — a
 // capacity check plus allocated/generation validation per access. The running process's own
@@ -9,21 +9,13 @@
 // the emulator, a small direct-mapped array bound into the AddressingUnit by
 // Kernel::ProcessorStep when SystemConfig::xlat_cache is set.
 //
-// Entries come in two tiers (DESIGN.md §6.4):
-//
-//   epoch-keyed — the default. A hit still revalidates the descriptor's `allocated` bit and
-//       generation against the presented AD (exactly the checks ObjectTable::Resolve
-//       performs), so a freed or reallocated slot can never serve stale; what the hit skips
-//       is the call, the capacity test, and the Result plumbing. Instruction-fetch payload
-//       hits additionally revalidate the segment type, the descriptor's `data_epoch`, and
-//       the ProgramStore version before bypassing the store's map lookup.
-//   certified — armed only for objects the interference analysis certified immutable (see
-//       Kernel::EnsureInterferenceCertificates for the exact consumption rule). A certified
-//       hit performs no descriptor revalidation at all: the analysis proved no summarized
-//       program writes or destroys the object, and every kernel path that could retract the
-//       proof (program registration/removal, analysis forgetting) clears these caches
-//       wholesale. The pure-observer interference auditor cross-checks every certified hit
-//       at runtime via the hook below.
+// Every entry is epoch-keyed. A hit still revalidates the descriptor's `allocated` bit and
+// generation against the presented AD (exactly the checks ObjectTable::Resolve performs), so
+// a freed or reallocated slot can never serve stale; what the hit skips is the call, the
+// capacity test, and the Result plumbing. Instruction-fetch payload hits additionally
+// revalidate the segment type, the descriptor's `data_epoch`, and the ProgramStore version
+// before bypassing the store's map lookup. No kernel event needs to clear the cache: every
+// change to what an AD translates to fails one of these compares.
 //
 // Downstream checks are NOT cached: rights, bounds, quarantine, and swap state are examined
 // per access by the AddressingUnit on the descriptor a hit returns, and `data_base` is
@@ -36,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 
 #include "src/arch/types.h"
 
@@ -48,24 +39,20 @@ struct XlatEntry {
   ObjectIndex index = kInvalidObjectIndex;
   uint32_t generation = 0;
   // Descriptor slot pointer. Stable for the table's lifetime (slots are never reallocated);
-  // liveness is revalidated per hit on the epoch-keyed tier.
+  // liveness is revalidated per hit.
   ObjectDescriptor* descriptor = nullptr;
   // Decoded-program payload for instruction segments (kernel-owned const Program*, typed
   // void to keep this arch header free of isa dependencies). Null for entries filled by the
   // AddressingUnit resolve path.
   const void* program = nullptr;
   uint64_t program_version = 0;  // ProgramStore::version() at program fill
-  uint32_t data_epoch = 0;       // descriptor->data_epoch at fill (immutability witness)
-  uint8_t type = 0;              // SystemType at fill, for the auditor's retype check
-  bool certified = false;
+  uint32_t data_epoch = 0;       // descriptor->data_epoch at fill (content witness)
 };
 
 struct XlatCacheStats {
-  uint64_t hits = 0;                    // epoch-keyed resolve hits (AddressingUnit path)
-  uint64_t certified_hits = 0;          // certified resolve hits (no revalidation)
-  uint64_t misses = 0;                  // probes that fell back to the authoritative Resolve
-  uint64_t program_hits = 0;            // epoch-keyed instruction-fetch payload hits
-  uint64_t certified_program_hits = 0;  // certified instruction-fetch payload hits
+  uint64_t hits = 0;          // resolve hits (AddressingUnit path)
+  uint64_t misses = 0;        // probes that fell back to the authoritative Resolve
+  uint64_t program_hits = 0;  // instruction-fetch payload hits
   uint64_t program_misses = 0;
 };
 
@@ -73,39 +60,13 @@ class XlatCache {
  public:
   static constexpr uint32_t kEntries = 64;  // direct-mapped, power of two
 
-  // Fires on every certified hit when installed (the interference auditor's tap). Host-side
-  // only; must not consume virtual time.
-  using CertifiedHitHook = void (*)(void* user, const XlatEntry& entry);
-
   XlatEntry& Probe(ObjectIndex index) { return entries_[index & (kEntries - 1)]; }
-
-  void Clear() {
-    entries_.fill(XlatEntry{});
-  }
-
-  // Certified-object set, owned by the kernel and updated in place; the kernel clears the
-  // cache whenever the set's contents change, so `certified` bits never outlive the proof.
-  void SetCertifiedSet(const std::set<ObjectIndex>* certified) { certified_ = certified; }
-  bool IsCertified(ObjectIndex index) const {
-    return certified_ != nullptr && certified_->count(index) != 0;
-  }
-
-  void SetCertifiedHitHook(CertifiedHitHook hook, void* user) {
-    hook_ = hook;
-    hook_user_ = user;
-  }
-  void NotifyCertifiedHit(const XlatEntry& entry) const {
-    if (hook_ != nullptr) hook_(hook_user_, entry);
-  }
 
   XlatCacheStats& stats() { return stats_; }
   const XlatCacheStats& stats() const { return stats_; }
 
  private:
   std::array<XlatEntry, kEntries> entries_{};
-  const std::set<ObjectIndex>* certified_ = nullptr;
-  CertifiedHitHook hook_ = nullptr;
-  void* hook_user_ = nullptr;
   XlatCacheStats stats_;
 };
 

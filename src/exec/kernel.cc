@@ -58,8 +58,7 @@ Kernel::Kernel(Machine* machine, MemoryManager* memory)
   effect_graph_.set_symbols(&symbols_);
 
   // Hot-patching a segment (ProgramStore::Replace) invalidates every summary computed for
-  // the old code; without this retraction, elision certificates keyed by (segment, pc)
-  // could be folded into a decode of the replacement program.
+  // the old code.
   programs_.SetReplaceHook([this](ObjectIndex segment) { ForgetProgramAnalysis(segment); });
 
   RegisterService(os_service::kYield, [](ExecutionContext&) -> Result<NativeResult> {
@@ -132,10 +131,6 @@ Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
     processors_.push_back(ProcessorRec{id, object, port, AccessDescriptor(), machine_->now(),
                                        false, false, 0, XlatCache{}});
     machine_->profiler().OnProcessorAdded(id, machine_->now());
-    processors_.back().xlat.SetCertifiedSet(&certified_translations_);
-    if (interference_auditor_ != nullptr) {
-      processors_.back().xlat.SetCertifiedHitHook(&Kernel::CertifiedHitThunk, this);
-    }
     // The processor comes online and immediately looks for work.
     machine_->events().ScheduleAfter(0, [this, id] { ProcessorFetch(id); });
   }
@@ -181,11 +176,8 @@ Result<AccessDescriptor> Kernel::CreateProcess(ProgramRef program,
                         analysis::ProgramKind::kProcess);
   } else {
     // Defer the summary to the first AnalyzeSystem() call, but keep the concrete initial
-    // argument — it is what makes the program's port uses resolvable at all. Until that
-    // summary exists the program is unsummarized code entering the system: every certified
-    // translation must be retracted (EnsureSummaries will cover it before recertification).
+    // argument — it is what makes the program's port uses resolvable at all.
     deferred_args_[segment.index()] = options.initial_arg;
-    InvalidateTranslationCaches();
   }
   // The kernel itself feeds fault and scheduler ports (RaiseFault / scheduler
   // notifications), so their receivers are never statically starved.
@@ -312,15 +304,6 @@ Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor
         // Domain entries take arbitrary caller arguments: no initial-arg seeding.
         RecordEffectSummary(entry_segment.index(), *entry_program, AccessDescriptor(),
                             analysis::ProgramKind::kDomainEntry);
-      }
-    }
-  } else {
-    // Unsummarized entry code can now run through Call: retract every certified
-    // translation until EnsureSummaries covers it.
-    for (const AccessDescriptor& entry_segment : entries) {
-      if (!effect_graph_.HasProgram(entry_segment.index())) {
-        InvalidateTranslationCaches();
-        break;
       }
     }
   }
@@ -699,7 +682,6 @@ bool Kernel::StepInstruction(uint16_t processor_id, Cycles* next) {
     // consults the cache of the processor actually executing, and never a pointer left
     // stale by a processors_ reallocation.
     machine_->addressing().BindXlatCache(&rec.xlat);
-    audit_cpu_ = processor_id;
   }
   // The running process's system objects are validated once here, then read and written
   // through their pinned descriptors for the rest of the instruction (DESIGN.md §10).
@@ -717,21 +699,8 @@ bool Kernel::StepInstruction(uint16_t processor_id, Cycles* next) {
 
   ContextView ctx(&machine_->addressing(), proc.context(), kPin);
   const Program* program_ptr = nullptr;
-  const DecodedSegment* decoded = nullptr;
   ProgramRef program_ref;  // keeps the uncached fetch's program alive through this step
-  if (decode_cache_enabled_) {
-    auto fetched = FetchDecoded(rec, ctx.instruction_segment());
-    if (!fetched.ok()) {
-      RaiseFault(proc, fetched.fault());
-      machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
-                                     cycles::kDispatch);
-      machine_->events().ScheduleAfter(cycles::kDispatch,
-                                       [this, processor_id] { ProcessorFetch(processor_id); });
-      return false;
-    }
-    decoded = fetched.value();
-    program_ptr = decoded->program;
-  } else if (xlat_cache_enabled_) {
+  if (xlat_cache_enabled_) {
     auto cached = FetchProgramCached(rec, ctx.instruction_segment());
     if (!cached.ok()) {
       RaiseFault(proc, cached.fault());
@@ -773,15 +742,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, Cycles* next) {
       sampled_site = true;
       site_segment = ctx.instruction_segment().index();
     }
-    // Stable copy when decoding from the cache: a service call inside Execute can register
-    // a program and clear the decode caches, invalidating references into the entry.
-    Instruction decoded_inst{};
-    uint8_t elide = 0;
-    if (decoded != nullptr) {
-      decoded_inst = decoded->code[pc].inst;
-      elide = decoded->code[pc].elide;
-    }
-    const Instruction& instruction = decoded != nullptr ? decoded_inst : program.at(pc);
+    const Instruction& instruction = program.at(pc);
     // The interpreter's instruction dump: with tracing on, each step lands in the event
     // timeline (and the kTrace log line reaches the recorder's annotation channel through
     // the sink installed by System) instead of spamming stderr.
@@ -792,7 +753,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, Cycles* next) {
                      OpcodeName(instruction.op));
     }
     ctx.set_pc(pc + 1);
-    auto result = Execute(rec, proc, ctx, program, instruction, elide);
+    auto result = Execute(rec, proc, ctx, program, instruction);
     if (!result.ok()) {
       Fault fault = result.fault();
       if (fault == Fault::kSegmentSwapped) {
@@ -891,7 +852,7 @@ void Kernel::NoteAccess(uint16_t cpu, ProcessView& proc, ContextView& ctx, Objec
 
 Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
                                            ContextView& ctx, const Program& program,
-                                           const Instruction& in, uint8_t elide) {
+                                           const Instruction& in) {
   AddressingUnit& au = machine_->addressing();
   StepEffect effect;
 
@@ -943,21 +904,7 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         if (!ValidReg(in.c)) return Fault::kRegisterOutOfRange;
         offset += static_cast<uint32_t>(ctx.reg(in.c));
       }
-      constexpr uint8_t kDataMask = analysis::guard_check::kRights |
-                                    analysis::guard_check::kDataBounds;
-      uint64_t value = 0;
-      if ((elide & kDataMask) == kDataMask) {
-        // Certified check-elided fast path: rights + bounds proven dominated; liveness,
-        // quarantine, and residency remain dynamic inside ReadDataElided.
-        if (guard_auditor_ != nullptr) {
-          AuditElidedData(rec, proc, ctx.ad_reg(in.b), offset, width, rights::kRead,
-                          ctx.pc() - 1);
-        }
-        IMAX_ASSIGN_OR_RETURN(value, au.ReadDataElided(ctx.ad_reg(in.b), offset, width));
-        ++stats_.guard_elisions;
-      } else {
-        IMAX_ASSIGN_OR_RETURN(value, au.ReadData(ctx.ad_reg(in.b), offset, width));
-      }
+      IMAX_ASSIGN_OR_RETURN(uint64_t value, au.ReadData(ctx.ad_reg(in.b), offset, width));
       NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.b).index(), analysis::ObjectPart::kData,
                  analysis::AccessKind::kRead);
       ctx.set_reg(in.a, value);
@@ -975,19 +922,7 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         if (!ValidReg(in.c)) return Fault::kRegisterOutOfRange;
         offset += static_cast<uint32_t>(ctx.reg(in.c));
       }
-      constexpr uint8_t kDataMask = analysis::guard_check::kRights |
-                                    analysis::guard_check::kDataBounds;
-      if ((elide & kDataMask) == kDataMask) {
-        if (guard_auditor_ != nullptr) {
-          AuditElidedData(rec, proc, ctx.ad_reg(in.a), offset, width, rights::kWrite,
-                          ctx.pc() - 1);
-        }
-        IMAX_RETURN_IF_FAULT(au.WriteDataElided(ctx.ad_reg(in.a), offset, width,
-                                                ctx.reg(in.b)));
-        ++stats_.guard_elisions;
-      } else {
-        IMAX_RETURN_IF_FAULT(au.WriteData(ctx.ad_reg(in.a), offset, width, ctx.reg(in.b)));
-      }
+      IMAX_RETURN_IF_FAULT(au.WriteData(ctx.ad_reg(in.a), offset, width, ctx.reg(in.b)));
       NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.a).index(), analysis::ObjectPart::kData,
                  analysis::AccessKind::kWrite);
       effect.compute = cycles::kDataAccessBase;
@@ -1016,18 +951,7 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         if (!ValidReg(in.c)) return Fault::kRegisterOutOfRange;
         slot += static_cast<uint32_t>(ctx.reg(in.c));
       }
-      constexpr uint8_t kSlotMask = analysis::guard_check::kRights |
-                                    analysis::guard_check::kSlotBounds;
-      AccessDescriptor value;
-      if ((elide & kSlotMask) == kSlotMask) {
-        if (guard_auditor_ != nullptr) {
-          AuditElidedSlot(rec, proc, ctx.ad_reg(in.b), slot, rights::kRead, ctx.pc() - 1);
-        }
-        IMAX_ASSIGN_OR_RETURN(value, au.ReadAdElided(ctx.ad_reg(in.b), slot));
-        ++stats_.guard_elisions;
-      } else {
-        IMAX_ASSIGN_OR_RETURN(value, au.ReadAd(ctx.ad_reg(in.b), slot));
-      }
+      IMAX_ASSIGN_OR_RETURN(AccessDescriptor value, au.ReadAd(ctx.ad_reg(in.b), slot));
       NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.b).index(), analysis::ObjectPart::kAccess,
                  analysis::AccessKind::kRead);
       ctx.set_ad_reg(in.a, value);
@@ -1667,18 +1591,6 @@ void Kernel::RecordEffectSummary(ObjectIndex segment, const Program& program,
   analysis::EffectOptions options =
       analysis::EffectOptionsForTable(machine_->table(), initial_arg, &symbols_);
   analysis::EffectSummary effects = analysis::EffectAnalyzer::Analyze(program, options);
-
-  // The interference summary reuses the effect pass's resolved access list, so it rides
-  // along at negligible extra cost and AnalyzeInterference never re-walks the program.
-  interference_summaries_[segment] =
-      analysis::InterferenceAnalyzer::Analyze(program, options, effects);
-  ++stats_.interference_summaries;
-
-  // The guard-dominance summary shares the same effect pass, so check-elision verdicts
-  // exist the moment the program can run (and AnalyzeGuards never re-walks the program).
-  guard_summaries_[segment] = analysis::GuardAnalyzer::Analyze(program, options, effects);
-  ++stats_.guard_summaries;
-
   effect_graph_.AddProgram(segment, std::move(effects), kind);
   ++stats_.effect_summaries;
 
@@ -1690,10 +1602,6 @@ void Kernel::RecordEffectSummary(ObjectIndex segment, const Program& program,
   demotable_sites_[segment] = std::move(demotable);
   lifetime_summaries_[segment] = std::move(lifetime);
   ++stats_.lifetime_summaries;
-
-  // A new summary can retract previously certified immutability: kill every cached
-  // translation and force recertification before the next certified hit.
-  InvalidateTranslationCaches();
 }
 
 bool Kernel::IsDemotableSite(ObjectIndex segment, uint32_t pc) const {
@@ -1770,124 +1678,16 @@ analysis::LifetimeAnalysisReport Kernel::AnalyzeLifetimes() {
   return analysis::AnalyzeLifetimes(effect_graph_, lifetime_summaries_);
 }
 
-analysis::InterferenceAnalysisReport Kernel::AnalyzeInterference() {
-  EnsureSummaries();
-  return analysis::AnalyzeInterference(effect_graph_, interference_summaries_);
-}
-
-analysis::GuardAnalysisReport Kernel::AnalyzeGuards() {
-  EnsureSummaries();
-  return analysis::AnalyzeGuards(effect_graph_, guard_summaries_, interference_summaries_);
-}
-
-void Kernel::EnableXlatCache() {
-  xlat_cache_enabled_ = true;
-  certificates_stale_ = true;
-  for (ProcessorRec& rec : processors_) {
-    rec.xlat.SetCertifiedSet(&certified_translations_);
-    if (interference_auditor_ != nullptr) {
-      rec.xlat.SetCertifiedHitHook(&Kernel::CertifiedHitThunk, this);
-    }
-  }
-}
-
-void Kernel::EnableInterferenceAuditor() {
-  if (interference_auditor_ == nullptr) {
-    interference_auditor_ = std::make_unique<analysis::InterferenceAuditor>();
-  }
-  for (ProcessorRec& rec : processors_) {
-    rec.xlat.SetCertifiedHitHook(&Kernel::CertifiedHitThunk, this);
-  }
-}
-
-void Kernel::EnableDecodeCache() {
-  decode_cache_enabled_ = true;
-  guard_certificates_stale_ = true;
-}
-
-void Kernel::EnableGuardAuditor() {
-  if (guard_auditor_ == nullptr) {
-    guard_auditor_ = std::make_unique<analysis::GuardAuditor>();
-  }
-}
-
-DecodeCacheStats Kernel::decode_stats() const {
-  DecodeCacheStats total;
-  for (const ProcessorRec& rec : processors_) {
-    total.hits += rec.decode.stats().hits;
-    total.misses += rec.decode.stats().misses;
-  }
-  return total;
-}
-
 XlatCacheStats Kernel::xlat_stats() const {
   XlatCacheStats total;
   for (const ProcessorRec& rec : processors_) {
     const XlatCacheStats& s = rec.xlat.stats();
     total.hits += s.hits;
-    total.certified_hits += s.certified_hits;
     total.misses += s.misses;
     total.program_hits += s.program_hits;
-    total.certified_program_hits += s.certified_program_hits;
     total.program_misses += s.program_misses;
   }
   return total;
-}
-
-void Kernel::InvalidateTranslationCaches() {
-  certificates_stale_ = true;
-  guard_certificates_stale_ = true;
-  if (decode_cache_enabled_) {
-    for (ProcessorRec& rec : processors_) rec.decode.Clear();
-    ++stats_.decode_invalidations;
-  }
-  if (!xlat_cache_enabled_) return;
-  for (ProcessorRec& rec : processors_) rec.xlat.Clear();
-  ++stats_.xlat_invalidations;
-}
-
-void Kernel::EnsureInterferenceCertificates() {
-  if (!certificates_stale_) return;
-  // EnsureSummaries can re-mark us stale through RecordEffectSummary; the flag is cleared
-  // only at the very end, after the certified set reflects every summary just computed.
-  EnsureSummaries();
-  analysis::InterferenceAnalysisReport report =
-      analysis::AnalyzeInterference(effect_graph_, interference_summaries_);
-  certified_translations_.clear();
-
-  // Generic objects qualify only under strict, caveat-free immutability certificates on
-  // every certified part: zero false positives, at the price of recall.
-  std::map<ObjectIndex, bool> strict;
-  for (const analysis::CacheCertificate& cert : report.certificates) {
-    bool ok = cert.grade == analysis::CacheGrade::kImmutable && !cert.caveat;
-    auto [it, inserted] = strict.emplace(cert.object, ok);
-    if (!inserted) it->second = it->second && ok;
-  }
-  ObjectTable& table = machine_->table();
-  for (const auto& [object, ok] : strict) {
-    if (!ok || object >= table.capacity()) continue;
-    const ObjectDescriptor& descriptor = table.At(object);
-    if (descriptor.allocated && descriptor.type == SystemType::kGeneric) {
-      certified_translations_.insert(object);
-    }
-  }
-
-  // Instruction segments qualify whenever no summarized program writes them. The store
-  // registers them read-only, and every kernel mutation path (Register, Forget via the GC
-  // reclaim observer) bumps the store version or clears these caches anyway.
-  programs_.ForEach([this](ObjectIndex segment, const Program&) {
-    for (const auto& [index, summary] : interference_summaries_) {
-      if (summary.Writes(segment, analysis::ObjectPart::kData) ||
-          summary.Writes(segment, analysis::ObjectPart::kAccess)) {
-        return;
-      }
-    }
-    certified_translations_.insert(segment);
-  });
-
-  // The membership just changed; entries filled against the old set are untrustworthy.
-  for (ProcessorRec& rec : processors_) rec.xlat.Clear();
-  certificates_stale_ = false;
 }
 
 Result<const Program*> Kernel::FetchProgramCached(ProcessorRec& rec,
@@ -1895,15 +1695,8 @@ Result<const Program*> Kernel::FetchProgramCached(ProcessorRec& rec,
   XlatEntry& entry = rec.xlat.Probe(ad.index());
   if (entry.program != nullptr && entry.index == ad.index() &&
       entry.generation == ad.generation()) {
-    if (entry.certified) {
-      // Analysis-certified immutable: no revalidation at all. The dynamic auditor (when
-      // armed) cross-checks the claim against the live descriptor.
-      ++rec.xlat.stats().certified_program_hits;
-      rec.xlat.NotifyCertifiedHit(entry);
-      return static_cast<const Program*>(entry.program);
-    }
-    // Epoch-keyed: revalidate exactly what ProgramStore::Fetch checks, plus the epochs
-    // that witness content stability (descriptor data_epoch, store version).
+    // Revalidate exactly what ProgramStore::Fetch checks, plus the epochs that witness
+    // content stability (descriptor data_epoch, store version).
     const ObjectDescriptor* descriptor = entry.descriptor;
     if (descriptor->allocated && descriptor->generation == ad.generation() &&
         descriptor->type == SystemType::kInstructionSegment &&
@@ -1914,7 +1707,6 @@ Result<const Program*> Kernel::FetchProgramCached(ProcessorRec& rec,
     }
   }
   ++rec.xlat.stats().program_misses;
-  EnsureInterferenceCertificates();
   IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
   if (descriptor->type != SystemType::kInstructionSegment) {
     return Fault::kTypeMismatch;
@@ -1923,136 +1715,14 @@ Result<const Program*> Kernel::FetchProgramCached(ProcessorRec& rec,
   if (program == nullptr) {
     return Fault::kNotFound;
   }
-  // Re-probe: EnsureInterferenceCertificates may have cleared the cache above.
-  XlatEntry& fill = rec.xlat.Probe(ad.index());
-  fill = XlatEntry{};
-  fill.index = ad.index();
-  fill.generation = ad.generation();
-  fill.descriptor = descriptor;
-  fill.program = program;
-  fill.program_version = programs_.version();
-  fill.data_epoch = descriptor->data_epoch;
-  fill.type = static_cast<uint8_t>(SystemType::kInstructionSegment);
-  fill.certified = rec.xlat.IsCertified(ad.index());
+  entry = XlatEntry{};
+  entry.index = ad.index();
+  entry.generation = ad.generation();
+  entry.descriptor = descriptor;
+  entry.program = program;
+  entry.program_version = programs_.version();
+  entry.data_epoch = descriptor->data_epoch;
   return program;
-}
-
-void Kernel::EnsureGuardCertificates() {
-  if (!guard_certificates_stale_) return;
-  // EnsureSummaries can re-mark us stale through RecordEffectSummary; the flag is cleared
-  // only at the very end, after the elision map reflects every summary just computed.
-  EnsureSummaries();
-  analysis::GuardAnalysisReport report =
-      analysis::AnalyzeGuards(effect_graph_, guard_summaries_, interference_summaries_);
-  certified_elisions_.clear();
-  for (const analysis::ElisionCertificate& cert : report.certificates) {
-    std::map<uint32_t, uint8_t>& per_pc = certified_elisions_[cert.segment];
-    for (const analysis::ElidedCheck& check : cert.checks) {
-      per_pc[check.pc] = check.mask;
-    }
-  }
-  // The elision basis just changed; entries decoded against the old map are untrustworthy.
-  for (ProcessorRec& rec : processors_) rec.decode.Clear();
-  guard_certificates_stale_ = false;
-}
-
-Result<const DecodedSegment*> Kernel::FetchDecoded(ProcessorRec& rec,
-                                                   const AccessDescriptor& ad) {
-  DecodedSegment& entry = rec.decode.Probe(ad.index());
-  if (entry.valid() && entry.segment == ad.index() && entry.generation == ad.generation()) {
-    // Epoch-keyed revalidation: exactly the set FetchProgramCached's epoch tier checks
-    // (liveness, generation, type, data_epoch, store version). Certification rides per
-    // instruction as the elide mask, so no entry ever skips this.
-    const ObjectDescriptor* descriptor = entry.descriptor;
-    if (descriptor->allocated && descriptor->generation == ad.generation() &&
-        descriptor->type == SystemType::kInstructionSegment &&
-        descriptor->data_epoch == entry.data_epoch &&
-        entry.store_version == programs_.version()) {
-      ++rec.decode.stats().hits;
-      return &entry;
-    }
-  }
-  ++rec.decode.stats().misses;
-  EnsureGuardCertificates();
-  IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
-  if (descriptor->type != SystemType::kInstructionSegment) {
-    return Fault::kTypeMismatch;
-  }
-  const Program* program = programs_.Find(ad.index());
-  if (program == nullptr) {
-    return Fault::kNotFound;
-  }
-  // Re-probe: EnsureGuardCertificates may have cleared the cache above.
-  DecodedSegment& fill = rec.decode.Probe(ad.index());
-  fill = DecodedSegment{};
-  fill.segment = ad.index();
-  fill.generation = ad.generation();
-  fill.descriptor = descriptor;
-  fill.program = program;
-  fill.store_version = programs_.version();
-  fill.data_epoch = descriptor->data_epoch;
-  fill.code.resize(program->size());
-  const std::map<uint32_t, uint8_t>* elisions = nullptr;
-  auto certified = certified_elisions_.find(ad.index());
-  if (certified != certified_elisions_.end()) elisions = &certified->second;
-  for (uint32_t pc = 0; pc < program->size(); ++pc) {
-    fill.code[pc].inst = program->at(pc);
-    if (elisions != nullptr) {
-      auto mask = elisions->find(pc);
-      if (mask != elisions->end()) fill.code[pc].elide = mask->second;
-    }
-  }
-  return &fill;
-}
-
-void Kernel::AuditElidedData(ProcessorRec& rec, ProcessView& proc, const AccessDescriptor& ad,
-                             uint32_t offset, uint32_t width, RightsMask required,
-                             uint32_t pc) {
-  analysis::GuardAuditor::Check check =
-      guard_auditor_->CheckElidedData(machine_->table(), ad, offset, width, required);
-  if (check.ok) return;
-  ++stats_.guard_violations;
-  machine_->trace().Emit(TraceEventKind::kGuardViolation, machine_->now(), rec.id,
-                         proc.ad().index(), check.violation.object,
-                         static_cast<uint32_t>(check.violation.kind), pc);
-  IMAX_LOG_ERROR("guard audit: elided data access to object %u failed its %s re-check (pc %u)",
-                 check.violation.object,
-                 analysis::GuardViolationKindName(check.violation.kind), pc);
-}
-
-void Kernel::AuditElidedSlot(ProcessorRec& rec, ProcessView& proc,
-                             const AccessDescriptor& container, uint32_t slot,
-                             RightsMask required, uint32_t pc) {
-  analysis::GuardAuditor::Check check =
-      guard_auditor_->CheckElidedSlot(machine_->table(), container, slot, required);
-  if (check.ok) return;
-  ++stats_.guard_violations;
-  machine_->trace().Emit(TraceEventKind::kGuardViolation, machine_->now(), rec.id,
-                         proc.ad().index(), check.violation.object,
-                         static_cast<uint32_t>(check.violation.kind), pc);
-  IMAX_LOG_ERROR("guard audit: elided slot access to object %u failed its %s re-check (pc %u)",
-                 check.violation.object,
-                 analysis::GuardViolationKindName(check.violation.kind), pc);
-}
-
-void Kernel::CertifiedHitThunk(void* kernel, const XlatEntry& entry) {
-  static_cast<Kernel*>(kernel)->OnCertifiedXlatHit(entry);
-}
-
-void Kernel::OnCertifiedXlatHit(const XlatEntry& entry) {
-  if (interference_auditor_ == nullptr) return;
-  analysis::InterferenceAuditor::Check check = interference_auditor_->CheckCertifiedHit(
-      machine_->table(), entry.index, entry.generation, entry.data_epoch, entry.type);
-  if (check.ok) return;
-  ++stats_.interference_violations;
-  machine_->trace().Emit(TraceEventKind::kInterferenceViolation, machine_->now(), audit_cpu_,
-                         kTraceNoProcess, entry.index,
-                         static_cast<uint32_t>(check.violation.kind), entry.data_epoch);
-  IMAX_LOG_ERROR(
-      "interference audit: certified object %u failed its %s cross-check "
-      "(fill epoch %u, observed %u)",
-      entry.index, analysis::InterferenceViolationKindName(check.violation.kind),
-      entry.data_epoch, check.violation.observed_epoch);
 }
 
 Cycles Kernel::TotalBusyCycles() const {

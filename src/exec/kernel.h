@@ -24,15 +24,10 @@
 #include <vector>
 
 #include "src/analysis/deadlock.h"
-#include "src/analysis/guards/auditor.h"
-#include "src/analysis/guards/guards.h"
-#include "src/analysis/interference/auditor.h"
-#include "src/analysis/interference/interference.h"
 #include "src/analysis/lifetime/auditor.h"
 #include "src/analysis/lifetime/lifetime.h"
 #include "src/analysis/races/races.h"
 #include "src/analysis/races/sanitizer.h"
-#include "src/arch/decode_cache.h"
 #include "src/arch/xlat_cache.h"
 #include "src/exec/execution_context.h"
 #include "src/ipc/port_subsystem.h"
@@ -93,13 +88,6 @@ struct KernelStats {
   uint64_t processors_retired = 0;   // GDPs permanently halted (fault injection / operator)
   uint64_t processors_stalled = 0;   // transient GDP stalls applied
   uint64_t retirement_requeues = 0;  // in-flight processes rescued from a retired GDP
-  uint64_t interference_summaries = 0;  // object-footprint summaries computed
-  uint64_t interference_violations = 0; // certified cache hits that failed the audit
-  uint64_t xlat_invalidations = 0;   // whole-cache clears on analysis/store retraction
-  uint64_t guard_summaries = 0;      // guard-dominance summaries computed
-  uint64_t guard_elisions = 0;       // instructions executed on the check-elided fast path
-  uint64_t guard_violations = 0;     // elided executions that failed the guard audit
-  uint64_t decode_invalidations = 0; // whole-decode-cache clears on analysis retraction
 };
 
 class Kernel {
@@ -236,13 +224,6 @@ class Kernel {
   // like AnalyzeSystem.
   analysis::LifetimeAnalysisReport AnalyzeLifetimes();
 
-  // Runs the whole-system interference/immutability analysis
-  // (src/analysis/interference/interference.h) over the same incrementally-maintained
-  // summaries, completing any missing ones first exactly like AnalyzeSystem. Pairwise
-  // independence verdicts are the lookahead oracle for parallel execution; the certificate
-  // report is what EnsureInterferenceCertificates consumes for the translation cache.
-  analysis::InterferenceAnalysisReport AnalyzeInterference();
-
   // The incrementally-maintained summary store. Tests and tools may mark additional
   // external senders/receivers before calling AnalyzeSystem().
   analysis::SystemEffectGraph& effect_graph() { return effect_graph_; }
@@ -252,36 +233,15 @@ class Kernel {
     return lifetime_summaries_;
   }
 
-  // Per-segment interference summaries, maintained alongside the effect graph.
-  const std::map<ObjectIndex, analysis::InterferenceSummary>& interference_summaries() const {
-    return interference_summaries_;
-  }
-
-  // Runs the whole-system guard-dominance analysis (src/analysis/guards/guards.h) over the
-  // same incrementally-maintained summaries, completing any missing ones first exactly like
-  // AnalyzeSystem. The certificate report is what EnsureGuardCertificates consumes for the
-  // decode cache's check-elided fast path.
-  analysis::GuardAnalysisReport AnalyzeGuards();
-
-  // Per-segment guard summaries, maintained alongside the effect graph.
-  const std::map<ObjectIndex, analysis::GuardSummary>& guard_summaries() const {
-    return guard_summaries_;
-  }
-
-  // Drops all analysis state for a reclaimed instruction segment (summary + any deferred
-  // initial-argument fact + its diagnostic name + lifetime summary and demotable-site set +
-  // interference summary). Called by the GC reclaim observer. Any change to the analyzed
-  // program set retracts the certificate basis, so the translation caches are cleared and
-  // the certified set marked stale for lazy recomputation.
+  // Drops all analysis state for a reclaimed or replaced instruction segment (summary + any
+  // deferred initial-argument fact + its diagnostic name + lifetime summary and
+  // demotable-site set). Called by the GC reclaim observer and the ProgramStore replace hook.
   void ForgetProgramAnalysis(ObjectIndex segment) {
     effect_graph_.RemoveProgram(segment);
     deferred_args_.erase(segment);
     symbols_.Forget(segment);
     lifetime_summaries_.erase(segment);
     demotable_sites_.erase(segment);
-    interference_summaries_.erase(segment);
-    guard_summaries_.erase(segment);
-    InvalidateTranslationCaches();
   }
 
   // Turns on the dynamic race sanitizer (analysis/races/sanitizer.h). Pure observer: no
@@ -307,36 +267,11 @@ class Kernel {
   // binds each processor's cache into the AddressingUnit and serves instruction fetches
   // through it. Host-side only — cycle charges are untouched, so virtual time and the PR 5
   // replay fingerprint are bit-identical with the cache on or off.
-  void EnableXlatCache();
+  void EnableXlatCache() { xlat_cache_enabled_ = true; }
   bool xlat_cache_enabled() const { return xlat_cache_enabled_; }
 
   // Aggregate hit/miss counters over every processor's translation cache.
   XlatCacheStats xlat_stats() const;
-
-  // Turns on the dynamic interference auditor (analysis/interference/auditor.h): every
-  // certified translation-cache hit is re-derived against the authoritative table state.
-  // Pure observer; findings surface as kInterferenceViolation trace events and in
-  // stats().interference_violations.
-  void EnableInterferenceAuditor();
-  analysis::InterferenceAuditor* interference_auditor() { return interference_auditor_.get(); }
-
-  // Arms the per-processor decode caches (SystemConfig::decode_cache): ProcessorStep fetches
-  // pre-decoded segments through FetchDecoded, and instructions carrying a certified elision
-  // mask execute the check-elided AddressingUnit fast path. Host-side only — cycle charges
-  // are untouched, so virtual time and the PR 5 replay fingerprint are bit-identical with
-  // the cache on or off.
-  void EnableDecodeCache();
-  bool decode_cache_enabled() const { return decode_cache_enabled_; }
-
-  // Aggregate hit/miss counters over every processor's decode cache.
-  DecodeCacheStats decode_stats() const;
-
-  // Turns on the dynamic guard auditor (analysis/guards/auditor.h): every check-elided
-  // execution re-runs the full skipped check set against the authoritative state. Pure
-  // observer; findings surface as kGuardViolation trace events and in
-  // stats().guard_violations.
-  void EnableGuardAuditor();
-  analysis::GuardAuditor* guard_auditor() { return guard_auditor_.get(); }
 
   // Object names used by analysis diagnostics and annotated disassembly. Name ports before
   // the programs using them load: summaries render their disassembly at registration time.
@@ -368,7 +303,6 @@ class Kernel {
     bool halted = false;
     Cycles stall_until = 0;       // transient stall: no execution before this time
     XlatCache xlat;               // per-processor AD-translation cache (xlat_cache_enabled_)
-    DecodeCache decode;           // per-processor decode cache (decode_cache_enabled_)
   };
 
   // Outcome of one interpreted instruction.
@@ -392,11 +326,8 @@ class Kernel {
   // Binds `process` to the processor and schedules its first step after dispatch latency.
   void BindProcess(ProcessorRec& rec, const AccessDescriptor& process);
 
-  // `elide` carries the instruction's certified guard_check elision mask (0 = full layered
-  // checks; only full rights+bounds masks select the elided AddressingUnit path).
   Result<StepEffect> Execute(ProcessorRec& rec, ProcessView& proc, ContextView& ctx,
-                             const Program& program, const Instruction& instruction,
-                             uint8_t elide);
+                             const Program& program, const Instruction& instruction);
 
   // Send/receive bodies shared by the blocking, conditional and native forms. `cpu` is the
   // executing processor, for the event trace.
@@ -431,47 +362,10 @@ class Kernel {
   void EnsureSummaries();
 
   // Instruction fetch through the processor's translation cache: a hit skips the table
-  // resolve and the program-store map lookup. Certified entries (instruction segments under
-  // the kernel-trusted carve-out) skip revalidation entirely; epoch-keyed entries recheck
-  // liveness, type, data_epoch, and the store version, so every path that could change what
-  // an AD translates to forces the authoritative slow path.
+  // resolve and the program-store map lookup. Every hit rechecks liveness, generation, type,
+  // data_epoch, and the store version, so every path that could change what an AD
+  // translates to forces the authoritative slow path.
   Result<const Program*> FetchProgramCached(ProcessorRec& rec, const AccessDescriptor& ad);
-
-  // Pre-decoded instruction fetch through the processor's decode cache: a hit skips the
-  // table resolve, the program-store map lookup, and the per-instruction re-decode. Every
-  // entry is epoch-keyed (liveness, generation, type, data_epoch, store version revalidated
-  // per step); certification rides per instruction as the DecodedInst elision mask folded
-  // in from certified_elisions_ at fill time.
-  Result<const DecodedSegment*> FetchDecoded(ProcessorRec& rec, const AccessDescriptor& ad);
-
-  // Lazily recomputes certified_elisions_ from the guard-dominance analysis when stale.
-  // Consumption rule (DESIGN.md §6.5): only certificate masks survive (level bits never
-  // certify), and Execute additionally requires the full rights+bounds mask per site kind
-  // before taking the elided path.
-  void EnsureGuardCertificates();
-
-  // Audits one check-elided execution when the guard auditor is armed: re-runs the skipped
-  // rights/bounds checks and raises kGuardViolation on divergence. Pure observer.
-  void AuditElidedData(ProcessorRec& rec, ProcessView& proc, const AccessDescriptor& ad,
-                       uint32_t offset, uint32_t width, RightsMask required, uint32_t pc);
-  void AuditElidedSlot(ProcessorRec& rec, ProcessView& proc, const AccessDescriptor& container,
-                       uint32_t slot, RightsMask required, uint32_t pc);
-
-  // Lazily recomputes certified_translations_ from the interference analysis when stale.
-  // Consumption rule (DESIGN.md §6.4): generic objects only under a strict, caveat-free
-  // kImmutable certificate on both parts; instruction segments whenever no summarized
-  // program writes them (kernel-trusted carve-out — segments are registered with read-only
-  // rights, and every kernel mutation path bumps the store version or clears these caches).
-  void EnsureInterferenceCertificates();
-
-  // Clears every processor's translation cache and marks the certified set stale. Called
-  // whenever the analyzed program set changes (RecordEffectSummary, ForgetProgramAnalysis).
-  void InvalidateTranslationCaches();
-
-  // Certified-hit tap installed on the per-processor caches while the interference auditor
-  // is armed; cross-checks the hit and raises kInterferenceViolation on mismatch.
-  static void CertifiedHitThunk(void* kernel, const XlatEntry& entry);
-  void OnCertifiedXlatHit(const XlatEntry& entry);
 
   // Computes and stores the IPC effect summary for a freshly-registered program, seeding
   // resolution from the loader's concrete knowledge of the initial argument. Also computes
@@ -519,23 +413,7 @@ class Kernel {
   uint32_t demote_sro_bytes_ = 16 * 1024;
   std::map<ObjectIndex, analysis::LifetimeSummary> lifetime_summaries_;
   std::map<ObjectIndex, std::set<uint32_t>> demotable_sites_;  // segment -> demotable pcs
-  std::map<ObjectIndex, analysis::InterferenceSummary> interference_summaries_;
   bool xlat_cache_enabled_ = false;
-  // Objects whose translations the analysis certified immutable. The per-processor caches
-  // hold a pointer to this set; it changes only under InvalidateTranslationCaches +
-  // EnsureInterferenceCertificates, which clear the caches around every update.
-  std::set<ObjectIndex> certified_translations_;
-  bool certificates_stale_ = true;
-  std::unique_ptr<analysis::InterferenceAuditor> interference_auditor_;
-  std::map<ObjectIndex, analysis::GuardSummary> guard_summaries_;
-  bool decode_cache_enabled_ = false;
-  // Certified per-(segment, pc) elision masks the decode caches fold into DecodedInst at
-  // fill time. Changes only under InvalidateTranslationCaches + EnsureGuardCertificates,
-  // which clear the decode caches around every update.
-  std::map<ObjectIndex, std::map<uint32_t, uint8_t>> certified_elisions_;
-  bool guard_certificates_stale_ = true;
-  std::unique_ptr<analysis::GuardAuditor> guard_auditor_;
-  uint16_t audit_cpu_ = 0;  // processor attributed to kInterferenceViolation events
 
   // Observability bookkeeping (src/obs): open port waits keyed by process index and open
   // domain-call residences keyed by callee context index. Closed in MakeReady / DoReturn;

@@ -51,10 +51,10 @@ class ProgramStore {
 
   // Replaces the program behind a live instruction segment in place (hot-patching a loaded
   // program without changing its architectural identity). Staleness contract: bumps BOTH
-  // invalidation keys the caches consult — the store version() (xlat program payloads and
-  // decode entries key on it) and the segment descriptor's data_epoch (the per-object
-  // content witness) — plus rewrites the instruction-count metadata. Missing either bump
-  // would let a cached translation or decoded superblock keep serving the old code.
+  // invalidation keys the translation cache consults — the store version() (program
+  // payloads key on it) and the segment descriptor's data_epoch (the per-object content
+  // witness) — plus rewrites the instruction-count metadata. Missing either bump would let
+  // a cached translation keep serving the old code.
   Status Replace(const AccessDescriptor& ad, ProgramRef program) {
     IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
     if (descriptor->type != SystemType::kInstructionSegment) {
@@ -70,8 +70,7 @@ class ProgramStore {
     ++version_;
     ++descriptor->data_epoch;
     // Static analysis summarized the OLD code: let the owner retract it (the kernel wires
-    // this to ForgetProgramAnalysis, so elision certificates computed against the replaced
-    // program can never be folded into a decode of the new one).
+    // this to ForgetProgramAnalysis, which drops the stale effect and lifetime summaries).
     if (replace_hook_) replace_hook_(ad.index());
     return Status::Ok();
   }
@@ -87,15 +86,15 @@ class ProgramStore {
   }
 
   // Raw pointer lookup for the kernel's translation-cache fill path: no Resolve, no
-  // shared_ptr traffic. The pointer stays valid until Forget drops the segment — which
-  // bumps version(), killing every cache entry that captured it.
+  // shared_ptr traffic. The pointer stays valid until Forget or Replace drops the program —
+  // both bump version(), killing every cache entry that captured it.
   const Program* Find(ObjectIndex index) const {
     auto it = programs_.find(index);
     return it == programs_.end() ? nullptr : it->second.get();
   }
 
-  // Bumped on every Register / successful Forget. Translation-cache program payloads are
-  // keyed on it: any store mutation invalidates them wholesale.
+  // Bumped on every Register, successful Replace and successful Forget. Translation-cache
+  // program payloads are keyed on it: any store mutation invalidates them wholesale.
   uint64_t version() const { return version_; }
 
   // Visits every registered program as (segment object index, program) — offline tools like

@@ -278,20 +278,6 @@ void Exporter::HandleEvent(const TraceEvent& event) {
                   ",\"alloc_pc\":" + std::to_string(event.c) + "}");
       break;
     }
-    case TraceEventKind::kInterferenceViolation: {
-      Instant(tid, event.ts, "interference-violation",
-              "{\"object\":" + std::to_string(event.a) +
-                  ",\"kind\":" + std::to_string(event.b) +
-                  ",\"fill_epoch\":" + std::to_string(event.c) + "}");
-      break;
-    }
-    case TraceEventKind::kGuardViolation: {
-      Instant(tid, event.ts, "guard-violation",
-              "{\"object\":" + std::to_string(event.a) +
-                  ",\"kind\":" + std::to_string(event.b) +
-                  ",\"pc\":" + std::to_string(event.c) + "}");
-      break;
-    }
     case TraceEventKind::kFilingOp: {
       Instant(tid, event.ts,
               std::string("filing-") +

@@ -31,8 +31,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kInjection: return "injection";
     case TraceEventKind::kPatrolSweep: return "patrol-sweep";
     case TraceEventKind::kLifetimeViolation: return "lifetime-violation";
-    case TraceEventKind::kInterferenceViolation: return "interference-violation";
-    case TraceEventKind::kGuardViolation: return "guard-violation";
     case TraceEventKind::kFilingOp: return "filing-op";
   }
   return "unknown";

@@ -60,14 +60,14 @@ enum class TraceEventKind : uint8_t {
   kPatrolSweep,     // patrol sweep completed; a = descriptors scanned, b = quarantined total
   kLifetimeViolation,  // demoted object escaped its context; a = object index,
                        // b = holding object index, c = allocation-site pc
-  kInterferenceViolation,  // certified translation-cache entry failed its runtime
-                           // cross-check; a = object index,
-                           // b = InterferenceViolationKind, c = fill-time data_epoch
-  kGuardViolation,  // check-elided execution failed its re-executed full check set;
-                    // a = object index, b = GuardViolationKind, c = site pc
-  kFilingOp,        // filing-layer operation; a = FilingOpKind, b = payload bytes or
+  // Both replay fingerprints hash the numeric kind, so a kind's number never changes:
+  // numbers 27 and 28 stay unused, and new kinds take explicit numbers from 30 up.
+  kFilingOp = 29,   // filing-layer operation; a = FilingOpKind, b = payload bytes or
                     // record count, c = FNV-1a hash of the filed name (0 if none)
 };
+
+static_assert(static_cast<int>(TraceEventKind::kFilingOp) == 29,
+              "trace kinds are hashed by number into the replay fingerprints");
 
 // Payload word `a` of kFilingOp events (see src/filing/object_store.h).
 enum class FilingOpKind : uint8_t {

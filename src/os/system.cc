@@ -41,21 +41,8 @@ System::System(const SystemConfig& config)
   if (config.lifetime_audit) {
     kernel_->EnableLifetimeAuditor();
   }
-  // Auditor before cache: EnableXlatCache installs the certified-hit hook only on caches
-  // that already know about the auditor, so order here keeps both orders equivalent.
-  if (config.interference_audit) {
-    kernel_->EnableInterferenceAuditor();
-  }
   if (config.xlat_cache) {
     kernel_->EnableXlatCache();
-  }
-  // Same auditor-before-cache discipline for the decode tier: Execute consults the guard
-  // auditor only when armed, so arming it before the cache keeps both orders equivalent.
-  if (config.guard_audit) {
-    kernel_->EnableGuardAuditor();
-  }
-  if (config.decode_cache) {
-    kernel_->EnableDecodeCache();
   }
   gc_ = std::make_unique<GarbageCollector>(kernel_.get());
   patrol_ = std::make_unique<ObjectPatrol>(kernel_.get());

@@ -78,29 +78,12 @@ struct SystemConfig {
   bool lifetime_audit = false;
   uint32_t demote_sro_bytes = 16 * 1024;
 
-  // Per-processor AD-translation cache in the addressing-unit / program-fetch hot path.
-  // Entries are either interference-analysis-certified immutable (no revalidation) or
-  // epoch-keyed against descriptor generation + data_epoch. Host-side only: zero cycle
-  // charges, bit-identical virtual time with the cache on or off.
+  // Per-processor AD-translation cache in the addressing-unit / program-fetch hot path
+  // (src/arch/xlat_cache.h). Entries are epoch-keyed: every hit revalidates the descriptor's
+  // liveness and generation (plus type, data_epoch and the ProgramStore version for
+  // instruction fetches). Host-side only: zero cycle charges, bit-identical virtual time with
+  // the cache on or off.
   bool xlat_cache = false;
-  // Dynamic cross-check for the certified tier (src/analysis/interference/auditor.h):
-  // every certified cache hit re-reads the live descriptor and verifies the immutability
-  // claim still holds. Violations raise kInterferenceViolation trace events and count in
-  // kernel().stats().interference_violations. Pure observer.
-  bool interference_audit = false;
-
-  // Per-processor decode cache (src/arch/decode_cache.h): pre-decoded instruction segments
-  // keyed by (segment, generation, data_epoch, ProgramStore version), with per-instruction
-  // check-elision masks certified by the guard-dominance analysis
-  // (src/analysis/guards/guards.h). Certified instructions skip the rights/bounds checks a
-  // dominating check already performed; everything else keeps the full layered checks.
-  // Host-side only: zero cycle charges, bit-identical virtual time with the cache on or off.
-  bool decode_cache = false;
-  // Dynamic cross-check for check-elided execution (src/analysis/guards/auditor.h): every
-  // elided access re-runs the skipped rights/bounds checks against the live descriptor.
-  // Violations raise kGuardViolation trace events and count in
-  // kernel().stats().guard_violations. Pure observer.
-  bool guard_audit = false;
 
   // Cycle-attribution profiler (src/obs/profiler.h): bin every virtual cycle of every GDP
   // into a CycleBucket, plus a deterministic 1-in-N hot-site sample of interpreter dispatch.

@@ -116,7 +116,7 @@ TEST_F(ProgramStoreTest, VersionBumpsOnRegisterAndSuccessfulForgetOnly) {
   EXPECT_GT(store_.version(), v1);
 }
 
-// --- Replace: in-place hot-patching (the decode-cache staleness baseline) ----------------
+// --- Replace: in-place hot-patching (the program-fetch staleness baseline) --------------
 
 TEST_F(ProgramStoreTest, ReplaceSwapsContentAndBumpsBothStalenessKeys) {
   auto ad = store_.Register(MakeProgram("patch.old"));
@@ -131,8 +131,8 @@ TEST_F(ProgramStoreTest, ReplaceSwapsContentAndBumpsBothStalenessKeys) {
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value()->name(), "patch.new");
   // ...and BOTH cache invalidation keys moved: the store version (xlat program payloads
-  // and decode entries key on it) and the descriptor's data_epoch (the per-object content
-  // witness). Missing either would let a cached translation serve the old code.
+  // key on it) and the descriptor's data_epoch (the per-object content witness). Missing
+  // either would let a cached translation serve the old code.
   EXPECT_GT(store_.version(), version);
   EXPECT_GT(machine_.table().At(ad.value().index()).data_epoch, epoch);
 }

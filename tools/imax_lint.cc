@@ -14,8 +14,6 @@
 
 #include "src/analysis/deadlock.h"
 #include "src/analysis/effects.h"
-#include "src/analysis/guards/guards.h"
-#include "src/analysis/interference/interference.h"
 #include "src/analysis/lifetime/lifetime.h"
 #include "src/analysis/races/races.h"
 #include "src/analysis/verifier.h"
@@ -33,7 +31,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: imax_lint [--dump] [--demo-bad] [--deadlock] [--races] [--lifetime]\n"
-    "                 [--interference] [--guards] [--filing] [--all] [--json] [--help]\n"
+    "                 [--filing] [--all] [--json] [--help]\n"
     "\n"
     "Boots a representative iMAX-432 system with verify-on-load armed and sweeps every\n"
     "loaded program through the static capability verifier.\n"
@@ -52,25 +50,13 @@ constexpr char kUsage[] =
     "              come back clean, a seeded corpus (leaked store, retention anomaly) must\n"
     "              be flagged while context-local and consumed allocations must not, and a\n"
     "              live demote+audit quickstart must run violation-free\n"
-    "  --interference\n"
-    "              additionally run the interference & immutability analysis: the booted\n"
-    "              system must come back clean, a seeded corpus (disjoint pair, shared-write\n"
-    "              pair, immutable-after-publication, mutation-after-certification) must\n"
-    "              produce the ground-truth verdicts and certificates, and a live\n"
-    "              xlat-cache+audit quickstart must serve certified hits violation-free\n"
-    "  --guards    additionally run the guard-dominance analysis: the booted system's\n"
-    "              suppression accounting must balance, a seeded corpus (dominated read,\n"
-    "              contended object, opaque program, fresh allocation) must produce the\n"
-    "              ground-truth certificates and retractions, and a live decode-cache+audit\n"
-    "              quickstart must execute check-elided with zero guard violations\n"
     "  --filing    additionally run the filing journal-integrity pass: a healthy journal\n"
     "              must replay whole, and a seeded corrupt-journal corpus (torn tail,\n"
     "              checksum-mismatched record, orphaned commit record) must be detected,\n"
     "              rolled back to the surviving prefix, and recovered from by a booting\n"
     "              kernel without panicking\n"
     "  --all       run every analysis pass above (equivalent to --demo-bad --deadlock\n"
-    "              --races --lifetime --interference --guards --filing); tools/lint.sh and\n"
-    "              CI use this\n"
+    "              --races --lifetime --filing); tools/lint.sh and CI use this\n"
     "  --json      append a machine-readable findings document as the LAST line of stdout:\n"
     "              one JSON object {\"findings\":[...],\"exit\":N} where each finding carries\n"
     "              pass (which analysis produced it), site (program/object/pc anchor),\n"
@@ -92,9 +78,9 @@ constexpr char kUsage[] =
 // Every pass appends findings here when --json is armed; main() prints the whole document as
 // the last line of stdout so CI can extract it with `tail -1` without parsing the prose.
 struct JsonFinding {
-  std::string pass;     // which analysis produced it (verifier, demo-bad, guards, ...)
+  std::string pass;     // which analysis produced it (verifier, demo-bad, races, ...)
   std::string site;     // program / object / pc anchor
-  std::string verdict;  // clean / rejected / elidable / suppressed / findings / ...
+  std::string verdict;  // clean / rejected / rolled-back / findings / ...
   std::string reason;   // suppression cause or diagnostic text; empty when none
 };
 std::vector<JsonFinding>* g_json_findings = nullptr;
@@ -755,423 +741,6 @@ int RunLifetimeChecks(System& system, bool dump) {
   return failures;
 }
 
-// Static interference & immutability analysis: the booted system must come back clean
-// (the zero-false-positive tiers suppress the native daemons), a seeded corpus must keep
-// the disjoint pair independent, report the shared-write pair with named witnesses,
-// certify the read-only object strictly immutable, and retract that certificate the moment
-// a writer joins the graph — then a live xlat-cache+audit quickstart must serve certified
-// hits with zero auditor violations. Returns the number of failed expectations; -1 on
-// setup failure.
-int RunInterferenceChecks(System& system, bool dump) {
-  int failures = 0;
-
-  std::printf("\n==== whole-system interference analysis (booted system) ====\n");
-  analysis::InterferenceAnalysisReport live = system.kernel().AnalyzeInterference();
-  std::printf("imax_lint: %u programs, %u objects, %u independent / %u interfering / %u "
-              "suppressed pair(s), %u certified immutable (%u caveated): %s\n",
-              live.programs_analyzed, live.objects_seen, live.pairs_independent,
-              live.pairs_interfering, live.pairs_suppressed, live.certified_immutable,
-              live.certified_with_caveat, live.ok() ? "clean" : "DIAGNOSTICS");
-  if (!live.ok()) {
-    std::fputs(analysis::FormatInterferenceReport(live).c_str(), stdout);
-    std::printf("^^^^ FALSE POSITIVE — the booted system is known interference-free\n");
-    failures += static_cast<int>(live.pairs_interfering);
-  }
-
-  std::printf("\n==== seeded interference corpus (ground-truth verdicts & certificates) "
-              "====\n");
-  SymbolTable& symbols = system.kernel().symbols();
-  auto make_object = [&](const char* name) {
-    auto object = system.memory().CreateObject(system.memory().global_heap(),
-                                               SystemType::kGeneric, 16, 0,
-                                               rights::kRead | rights::kWrite);
-    if (object.ok()) symbols.Name(object.value().index(), name);
-    return object;
-  };
-  auto left = make_object("disjoint.left");
-  auto right = make_object("disjoint.right");
-  auto cell = make_object("contended.cell");
-  auto table = make_object("immutable.table");
-  if (!left.ok() || !right.ok() || !cell.ok() || !table.ok()) {
-    std::fprintf(stderr, "imax_lint: interference corpus object creation failed\n");
-    return -1;
-  }
-
-  // carrier slot 0 = the target object. Programs are analyzed standalone, like every other
-  // seeded corpus: the objects are real so AD chains resolve exactly as at load time.
-  analysis::SystemEffectGraph graph;
-  graph.set_symbols(&symbols);
-  std::map<ObjectIndex, analysis::InterferenceSummary> summaries;
-  ObjectIndex next_key = 1;
-  bool carriers_ok = true;
-  auto add_program = [&](const Program& program, const AccessDescriptor& target) {
-    auto carrier = system.memory().CreateObject(system.memory().global_heap(),
-                                                SystemType::kGeneric, 16, 1,
-                                                rights::kRead | rights::kWrite);
-    if (!carrier.ok()) {
-      carriers_ok = false;
-      return;
-    }
-    (void)system.machine().addressing().WriteAd(carrier.value(), 0, target);
-    analysis::EffectOptions options = analysis::EffectOptionsForTable(
-        system.machine().table(), carrier.value(), &symbols);
-    if (dump) std::fputs(Disassemble(program).c_str(), stdout);
-    graph.AddProgram(next_key, analysis::EffectAnalyzer::Analyze(program, options));
-    summaries[next_key] = analysis::InterferenceAnalyzer::Analyze(program, options);
-    ++next_key;
-  };
-  auto reader = [](const char* name) {
-    Assembler a(name);
-    a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).LoadData(0, 2, 0, 8).Halt();
-    return a;
-  };
-  auto writer = [](const char* name) {
-    Assembler a(name);
-    a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).StoreData(2, 0, 0, 8).Halt();
-    return a;
-  };
-
-  // Disjoint pair: independent. Shared-write pair: interfering. Immutable table: two
-  // readers, nobody writes — a strict immutable certificate.
-  add_program(*reader("disjoint.a").Build(), left.value());
-  add_program(*reader("disjoint.b").Build(), right.value());
-  add_program(*writer("contended.w0").Build(), cell.value());
-  add_program(*writer("contended.w1").Build(), cell.value());
-  add_program(*reader("immutable.r0").Build(), table.value());
-  add_program(*reader("immutable.r1").Build(), table.value());
-  if (!carriers_ok) {
-    std::fprintf(stderr, "imax_lint: interference corpus carrier creation failed\n");
-    return -1;
-  }
-
-  analysis::InterferenceAnalysisReport report =
-      analysis::AnalyzeInterference(graph, summaries);
-  std::fputs(analysis::FormatInterferenceReport(report).c_str(), stdout);
-  if (report.pairs_interfering != 1) {
-    std::printf("^^^^ WRONG VERDICTS — expected exactly the contended.cell pair to "
-                "interfere, got %u pair(s)\n", report.pairs_interfering);
-    ++failures;
-  }
-  bool witness_ok = false;
-  for (const analysis::InterferenceVerdict& verdict : report.verdicts) {
-    if (verdict.verdict != analysis::PairVerdict::kInterfering) continue;
-    witness_ok = verdict.shared.size() == 1 && verdict.shared[0] == cell.value().index() &&
-                 verdict.message.find("contended.cell") != std::string::npos;
-  }
-  if (report.pairs_interfering == 1 && !witness_ok) {
-    std::printf("^^^^ WRONG WITNESS — the interfering verdict must name contended.cell\n");
-    ++failures;
-  }
-  auto find_cert = [](const analysis::InterferenceAnalysisReport& r, ObjectIndex object) {
-    const analysis::CacheCertificate* found = nullptr;
-    for (const analysis::CacheCertificate& cert : r.certificates) {
-      if (cert.object == object && cert.part == analysis::ObjectPart::kData) found = &cert;
-    }
-    return found;
-  };
-  const analysis::CacheCertificate* table_cert = find_cert(report, table.value().index());
-  if (table_cert == nullptr || table_cert->grade != analysis::CacheGrade::kImmutable ||
-      table_cert->caveat) {
-    std::printf("^^^^ LOST CERTIFICATE — immutable.table must certify strictly "
-                "immutable\n");
-    ++failures;
-  }
-
-  // Mutation after certification: a writer joining the graph must retract the certificate.
-  add_program(*writer("immutable.late_writer").Build(), table.value());
-  if (!carriers_ok) {
-    std::fprintf(stderr, "imax_lint: interference corpus carrier creation failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  analysis::InterferenceAnalysisReport retracted =
-      analysis::AnalyzeInterference(graph, summaries);
-  const analysis::CacheCertificate* late_cert = find_cert(retracted, table.value().index());
-  if (late_cert == nullptr || late_cert->grade != analysis::CacheGrade::kMutable) {
-    std::printf("^^^^ STALE CERTIFICATE — immutable.table must grade mutable once a "
-                "writer exists\n");
-    ++failures;
-  }
-  std::printf("\nimax_lint: interference corpus: %u independent, %u interfering, "
-              "certificate %s -> %s; %d failures\n",
-              report.pairs_independent, report.pairs_interfering,
-              table_cert != nullptr ? analysis::CacheGradeName(table_cert->grade) : "?",
-              late_cert != nullptr ? analysis::CacheGradeName(late_cert->grade) : "?",
-              failures);
-
-  // --- Live quickstart: certified translation cache + runtime auditor, end to end. ---
-  std::printf("\n==== xlat-cache quickstart (xlat_cache + interference_audit) ====\n");
-  SystemConfig config;
-  config.processors = 1;
-  config.verify_on_load = true;
-  config.start_gc_daemon = false;  // the daemon's native steps caveat every certificate
-  config.xlat_cache = true;
-  config.interference_audit = true;
-  System demo(config);
-  auto shared = demo.memory().CreateObject(demo.memory().global_heap(),
-                                           SystemType::kGeneric, 64, 0,
-                                           rights::kRead | rights::kWrite);
-  if (!shared.ok() ||
-      !demo.machine().addressing().WriteData(shared.value(), 0, 8, 7).ok()) {
-    std::fprintf(stderr, "imax_lint: quickstart object creation failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  Assembler loop_program("quickstart.reader");
-  auto loop = loop_program.NewLabel();
-  loop_program.MoveAd(1, kArgAdReg)
-      .LoadImm(0, 0)
-      .LoadImm(3, 256)
-      .Bind(loop)
-      .LoadData(2, 1, 0, 8)
-      .AddImm(0, 0, 1)
-      .BranchIfLess(0, 3, loop)
-      .Halt();
-  ProcessOptions options;
-  options.initial_arg = shared.value();
-  auto process = demo.Spawn(loop_program.Build(), options);
-  if (!process.ok()) {
-    std::fprintf(stderr, "imax_lint: quickstart spawn failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  demo.Run();
-  XlatCacheStats stats = demo.kernel().xlat_stats();
-  const analysis::InterferenceAuditorStats& audit =
-      demo.kernel().interference_auditor()->stats();
-  std::printf("imax_lint: %llu certified hits, %llu certified program hits, %llu epoch "
-              "hits, %llu audited, %llu violations\n",
-              static_cast<unsigned long long>(stats.certified_hits),
-              static_cast<unsigned long long>(stats.certified_program_hits),
-              static_cast<unsigned long long>(stats.hits),
-              static_cast<unsigned long long>(audit.hits_checked),
-              static_cast<unsigned long long>(audit.violations));
-  if (stats.certified_hits == 0 || stats.certified_program_hits == 0) {
-    std::printf("^^^^ COLD CACHE — the hot read loop must serve certified hits on both "
-                "tiers\n");
-    ++failures;
-  }
-  if (audit.violations != 0 || demo.kernel().stats().interference_violations != 0) {
-    std::printf("^^^^ AUDIT VIOLATION — a certified translation went stale\n");
-    failures += static_cast<int>(audit.violations);
-  }
-  return failures;
-}
-
-// Runs the guard-dominance analysis three ways: the booted system's Phase 1 suppression
-// accounting must balance exactly (every check bit is elidable or counted to one cause) and
-// Phase 2 must never certify more than Phase 1 proved; a seeded corpus (dominated read over
-// a writer-free object, a writer retracting that certificate, an opaque program suppressing
-// every non-fresh site, fresh allocations surviving both) must produce the ground-truth
-// verdicts; and a live decode-cache+guard-audit quickstart must execute check-elided with
-// zero violations. Returns the number of failed expectations; -1 on setup failure.
-int RunGuardChecks(System& system, bool dump) {
-  int failures = 0;
-
-  std::printf("\n==== whole-system guard-dominance analysis (booted system) ====\n");
-  analysis::GuardAnalysisReport live = system.kernel().AnalyzeGuards();
-  std::printf("imax_lint: %u programs, %u sites, %u checks: %u elidable, %u certified "
-              "(%u fresh)\n",
-              live.programs_analyzed, live.sites_seen, live.checks_seen,
-              live.checks_elidable, live.checks_certified, live.certified_fresh);
-  if (dump) {
-    std::fputs(analysis::FormatGuardReport(live, system.kernel().guard_summaries()).c_str(),
-               stdout);
-  }
-  const analysis::GuardCounters& c = live.phase1;
-  if (c.checks_seen != c.checks_elidable + c.suppressed_opaque + c.suppressed_dynamic +
-                           c.suppressed_unproven + c.suppressed_level) {
-    std::printf("^^^^ BROKEN ACCOUNTING — every check bit must be elidable or counted to "
-                "exactly one suppression cause\n");
-    ++failures;
-  }
-  if (live.checks_certified > live.checks_elidable) {
-    std::printf("^^^^ OVER-CERTIFICATION — Phase 2 certified more checks than Phase 1 "
-                "proved dominated\n");
-    ++failures;
-  }
-  for (const auto& [segment, summary] : system.kernel().guard_summaries()) {
-    (void)segment;
-    for (const analysis::GuardSite& site : summary.sites) {
-      AddFinding("guards", summary.program_name + ":" + std::to_string(site.pc),
-                 site.elidable != 0 ? "elidable" : "suppressed",
-                 site.suppression == analysis::GuardSuppression::kNone
-                     ? ""
-                     : analysis::GuardSuppressionName(site.suppression));
-    }
-  }
-
-  std::printf("\n==== seeded guard corpus (ground-truth certificates & retractions) ====\n");
-  SymbolTable& symbols = system.kernel().symbols();
-  auto table = system.memory().CreateObject(system.memory().global_heap(),
-                                            SystemType::kGeneric, 16, 0,
-                                            rights::kRead | rights::kWrite);
-  if (!table.ok()) {
-    std::fprintf(stderr, "imax_lint: guard corpus object creation failed\n");
-    return -1;
-  }
-  symbols.Name(table.value().index(), "guards.table");
-
-  // carrier slot 0 = the target (the shared table, or the global heap SRO for the fresh
-  // allocator). Programs are analyzed standalone against real objects, like every other
-  // seeded corpus, so AD chains resolve exactly as at load time.
-  analysis::SystemEffectGraph graph;
-  graph.set_symbols(&symbols);
-  std::map<ObjectIndex, analysis::GuardSummary> guards;
-  std::map<ObjectIndex, analysis::InterferenceSummary> interference;
-  ObjectIndex next_key = 1;
-  bool carriers_ok = true;
-  auto add_program = [&](const Program& program, const AccessDescriptor& target) {
-    ObjectIndex key = next_key++;
-    auto carrier = system.memory().CreateObject(system.memory().global_heap(),
-                                                SystemType::kGeneric, 16, 1,
-                                                rights::kRead | rights::kWrite);
-    if (!carrier.ok()) {
-      carriers_ok = false;
-      return key;
-    }
-    (void)system.machine().addressing().WriteAd(carrier.value(), 0, target);
-    analysis::EffectOptions options = analysis::EffectOptionsForTable(
-        system.machine().table(), carrier.value(), &symbols);
-    if (dump) std::fputs(Disassemble(program).c_str(), stdout);
-    graph.AddProgram(key, analysis::EffectAnalyzer::Analyze(program, options));
-    guards[key] = analysis::GuardAnalyzer::Analyze(program, options);
-    interference[key] = analysis::InterferenceAnalyzer::Analyze(program, options);
-    return key;
-  };
-
-  // Dominated reader: the second load's rights + bounds are proven by the first — the
-  // elidable, non-fresh site. Fresh allocator: store + load against a same-block
-  // create_object. Writer and opaque native program join in later stages.
-  Assembler reader("guards.reader");
-  reader.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).LoadData(0, 2, 0, 8).LoadData(3, 2, 0, 8)
-      .Halt();
-  Assembler fresh("guards.fresh");
-  fresh.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).LoadImm(5, 41).CreateObject(3, 2, 32)
-      .StoreData(3, 5, 0, 8).LoadData(4, 3, 0, 8).Halt();
-  ObjectIndex reader_key = add_program(*reader.Build(), table.value());
-  (void)add_program(*fresh.Build(), system.memory().global_heap());
-  if (!carriers_ok) {
-    std::fprintf(stderr, "imax_lint: guard corpus carrier creation failed\n");
-    return -1;
-  }
-
-  analysis::GuardAnalysisReport stage1 = analysis::AnalyzeGuards(graph, guards, interference);
-  if (dump) std::fputs(analysis::FormatGuardReport(stage1, guards).c_str(), stdout);
-  bool reader_certified = false;
-  for (const analysis::ElisionCertificate& cert : stage1.certificates) {
-    if (cert.segment != reader_key) continue;
-    for (const analysis::ElidedCheck& check : cert.checks) {
-      if (!check.fresh) reader_certified = true;
-    }
-  }
-  if (!reader_certified || stage1.certified_fresh == 0 ||
-      stage1.suppressed_interference != 0) {
-    std::printf("^^^^ MISSED CERTIFICATE — the dominated writer-free read and the fresh "
-                "sites must both certify\n");
-    ++failures;
-  }
-  AddFinding("guards", "corpus:dominated-read",
-             reader_certified ? "certified" : "missed-certificate");
-  AddFinding("guards", "corpus:fresh-alloc",
-             stage1.certified_fresh > 0 ? "certified" : "missed-certificate");
-
-  // A writer joining the graph must retract the reader's certificate (fresh sites survive:
-  // an unpublished object has no foreign writers by construction).
-  Assembler writer("guards.writer");
-  writer.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).StoreData(2, 0, 0, 8).Halt();
-  (void)add_program(*writer.Build(), table.value());
-  analysis::GuardAnalysisReport stage2 = analysis::AnalyzeGuards(graph, guards, interference);
-  if (stage2.checks_certified != stage2.certified_fresh ||
-      stage2.suppressed_interference == 0 || stage2.certified_fresh == 0) {
-    std::printf("^^^^ STALE CERTIFICATE — a writer on guards.table must suppress the "
-                "non-fresh site and spare the fresh ones\n");
-    ++failures;
-  }
-  AddFinding("guards", "corpus:writer-retraction",
-             stage2.checks_certified == stage2.certified_fresh &&
-                     stage2.suppressed_interference > 0
-                 ? "retracted"
-                 : "stale-certificate",
-             "foreign writer on guards.table");
-
-  // An opaque program makes the whole system unknowable for non-fresh sites; fresh sites
-  // still certify.
-  Assembler opaque("guards.opaque");
-  opaque.Native([](ExecutionContext&) -> Result<NativeResult> { return NativeResult{}; })
-      .Halt();
-  (void)add_program(*opaque.Build(), table.value());
-  analysis::GuardAnalysisReport stage3 = analysis::AnalyzeGuards(graph, guards, interference);
-  if (stage3.checks_certified != stage3.certified_fresh || stage3.certified_fresh == 0 ||
-      stage3.suppressed_system_opaque + stage3.suppressed_interference == 0) {
-    std::printf("^^^^ OPACITY LEAK — an opaque program must suppress every non-fresh "
-                "elision system-wide\n");
-    ++failures;
-  }
-  AddFinding("guards", "corpus:opaque-program",
-             stage3.checks_certified == stage3.certified_fresh ? "suppressed"
-                                                               : "opacity-leak");
-  std::printf("\nimax_lint: guard corpus: %u certified (%u fresh) -> writer: %u (%u) -> "
-              "opaque: %u (%u); %d failures\n",
-              stage1.checks_certified, stage1.certified_fresh, stage2.checks_certified,
-              stage2.certified_fresh, stage3.checks_certified, stage3.certified_fresh,
-              failures);
-
-  // --- Live quickstart: armed decode cache + guard auditor, end to end. -----------------
-  std::printf("\n==== decode-cache quickstart (decode_cache + guard_audit) ====\n");
-  SystemConfig config;
-  config.processors = 1;
-  config.verify_on_load = true;
-  config.start_gc_daemon = false;  // the daemon's native steps opaque the system
-  config.decode_cache = true;
-  config.guard_audit = true;
-  System demo(config);
-  Assembler hot("quickstart.alloc");
-  auto loop = hot.NewLabel();
-  hot.MoveAd(1, kArgAdReg)
-      .LoadImm(0, 0)
-      .LoadImm(3, 256)
-      .LoadImm(5, 41)
-      .Bind(loop)
-      .CreateObject(4, 1, 32)
-      .StoreData(4, 5, 0, 8)
-      .LoadData(6, 4, 0, 8)
-      .DestroyObject(4)
-      .AddImm(0, 0, 1)
-      .BranchIfLess(0, 3, loop)
-      .Halt();
-  ProcessOptions options;
-  options.initial_arg = demo.memory().global_heap();
-  auto process = demo.Spawn(hot.Build(), options);
-  if (!process.ok()) {
-    std::fprintf(stderr, "imax_lint: quickstart spawn failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  demo.Run();
-  DecodeCacheStats dstats = demo.kernel().decode_stats();
-  const analysis::GuardAuditorStats& audit = demo.kernel().guard_auditor()->stats();
-  std::printf("imax_lint: %llu decode hits, %llu misses, %llu check-elided executions, "
-              "%llu audited, %llu violations\n",
-              static_cast<unsigned long long>(dstats.hits),
-              static_cast<unsigned long long>(dstats.misses),
-              static_cast<unsigned long long>(demo.kernel().stats().guard_elisions),
-              static_cast<unsigned long long>(audit.hits_checked),
-              static_cast<unsigned long long>(audit.violations));
-  if (dstats.hits == 0 || demo.kernel().stats().guard_elisions == 0 ||
-      audit.hits_checked == 0) {
-    std::printf("^^^^ COLD CACHE — the hot allocation loop must execute check-elided "
-                "decode hits under audit\n");
-    ++failures;
-  }
-  if (audit.violations != 0 || demo.kernel().stats().guard_violations != 0) {
-    std::printf("^^^^ AUDIT VIOLATION — a certified elision skipped a check that would "
-                "have failed\n");
-    failures += static_cast<int>(audit.violations);
-  }
-  AddFinding("guards", "quickstart.alloc",
-             audit.violations == 0 && demo.kernel().stats().guard_elisions > 0
-                 ? "clean"
-                 : "violation");
-  return failures;
-}
-
 }  // namespace
 
 // --- --filing: journal-integrity pass ----------------------------------------------------
@@ -1324,8 +893,6 @@ int main(int argc, char** argv) {
   bool deadlock = false;
   bool races = false;
   bool lifetime = false;
-  bool interference = false;
-  bool guards = false;
   bool filing = false;
   bool json = false;
   for (int i = 1; i < argc; ++i) {
@@ -1339,16 +906,12 @@ int main(int argc, char** argv) {
       races = true;
     } else if (std::strcmp(argv[i], "--lifetime") == 0) {
       lifetime = true;
-    } else if (std::strcmp(argv[i], "--interference") == 0) {
-      interference = true;
-    } else if (std::strcmp(argv[i], "--guards") == 0) {
-      guards = true;
     } else if (std::strcmp(argv[i], "--filing") == 0) {
       filing = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--all") == 0) {
-      demo_bad = deadlock = races = lifetime = interference = guards = filing = true;
+      demo_bad = deadlock = races = lifetime = filing = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::fputs(kUsage, stdout);
       return 0;
@@ -1497,22 +1060,13 @@ int main(int argc, char** argv) {
   if (lifetime) {
     lifetime_failures = run_pass("lifetime", RunLifetimeChecks(system, dump));
   }
-  int interference_failures = 0;
-  if (interference) {
-    interference_failures = run_pass("interference", RunInterferenceChecks(system, dump));
-  }
-  int guard_failures = 0;
-  if (guards) {
-    guard_failures = run_pass("guards", RunGuardChecks(system, dump));
-  }
   int filing_failures = 0;
   if (filing) {
     filing_failures = run_pass("filing", RunFilingChecks(dump));
   }
 
   const int findings = errors + missed + deadlock_failures + race_failures +
-                       lifetime_failures + interference_failures + guard_failures +
-                       filing_failures;
+                       lifetime_failures + filing_failures;
   const int exit_code = findings > 0 ? 2 : (infrastructure_failed ? 1 : 0);
   std::printf("\nLINT EXIT: %d\n", exit_code);
   if (json) EmitJson(json_findings, exit_code);

@@ -7,18 +7,9 @@
 //              [--trace-capacity N] [--out trace.json] [--metrics metrics.json] [--overhead]
 //              [--xlat-cache]
 //
-// --xlat-cache arms the certified AD-translation cache and its runtime auditor (implies
-// verify-on-load so the interference analysis runs at spawn). The run reports hit/miss
-// counts at exit and fails if the auditor catches a single certified-entry violation.
-// Composes with --inject: the campaign replay must stay bit-identical with the cache in
-// the hot path.
-//
-// --decode-cache arms the pre-validated decode cache with check-elided superblock
-// execution plus the guard auditor (implies verify-on-load so the guard-dominance analysis
-// runs at spawn). The run reports decode hit/miss and elision counts at exit and fails if
-// the auditor catches a single elided check that would have failed. Composes with
-// --xlat-cache and with --inject: the campaign replay fingerprint must be unchanged with
-// both caches in the hot path.
+// --xlat-cache arms the epoch-keyed AD-translation cache. The run reports hit/miss counts
+// at exit. Composes with --inject: the campaign replay must stay bit-identical with the
+// cache in the hot path.
 //
 // --overhead runs the selected workload twice — tracing enabled and disabled — and reports
 // the host wall-clock cost of instrumentation. The two runs must reach the same virtual
@@ -82,7 +73,6 @@ struct Options {
   bool race_sanitize = false;
   bool lifetime_demote = false;
   bool xlat_cache = false;
-  bool decode_cache = false;
   uint32_t inject_count = 0;  // > 0 selects campaign mode
   uint64_t seed = 432;
   Cycles inject_horizon = 2'000'000;
@@ -102,12 +92,20 @@ void Usage() {
                "usage: imax_trace [--workload quickstart|pipeline|churn] [--processors N]\n"
                "                  [--cycles N] [--trace-capacity N] [--out FILE]\n"
                "                  [--metrics FILE] [--overhead] [--race-sanitize]\n"
-               "                  [--lifetime-demote] [--xlat-cache] [--decode-cache]\n"
+               "                  [--lifetime-demote] [--xlat-cache]\n"
                "                  [--inject N] [--seed S]\n"
                "                  [--inject-horizon CYCLES] [--inject-report FILE]\n"
                "                  [--inject-verify] [--power-cut-campaign N]\n"
                "                  [--power-cuts K] [--profile] [--critical-path]\n"
                "                  [--span-export FILE]\n");
+}
+
+void PrintXlatStats(const XlatCacheStats& xlat) {
+  std::fprintf(stderr, "xlat cache: %llu hits (%llu misses), %llu program hits (%llu misses)\n",
+               static_cast<unsigned long long>(xlat.hits),
+               static_cast<unsigned long long>(xlat.misses),
+               static_cast<unsigned long long>(xlat.program_hits),
+               static_cast<unsigned long long>(xlat.program_misses));
 }
 
 // quickstart: the README workload — a producer/consumer pair over a bounded port, a domain
@@ -318,22 +316,7 @@ std::unique_ptr<System> RunWorkload(const Options& options, bool trace) {
     config.lifetime_demote = true;
     config.lifetime_audit = true;
   }
-  if (options.xlat_cache) {
-    // Cacheability certificates come from the load-time interference analysis, so
-    // summaries must land at spawn; the auditor revalidates every certified hit so a
-    // violation is a soundness finding, not silent corruption.
-    config.verify_on_load = true;
-    config.xlat_cache = true;
-    config.interference_audit = true;
-  }
-  if (options.decode_cache) {
-    // Elision certificates come from the load-time guard-dominance analysis, so summaries
-    // must land at spawn; the auditor re-executes every skipped check so a violation is a
-    // soundness finding, not silent corruption.
-    config.verify_on_load = true;
-    config.decode_cache = true;
-    config.guard_audit = true;
-  }
+  config.xlat_cache = options.xlat_cache;
   config.profile = options.profile;
   config.span_trace = options.spans_armed();
   std::unique_ptr<System> system;
@@ -508,20 +491,9 @@ CampaignResult RunCampaign(const Options& options) {
     config.lifetime_demote = true;
     config.lifetime_audit = true;
   }
-  if (options.xlat_cache) {
-    // Translation caching under fire: certified and epoch-keyed hits must not perturb
-    // virtual time, and the auditor must stay silent across retirements and corruption.
-    config.verify_on_load = true;
-    config.xlat_cache = true;
-    config.interference_audit = true;
-  }
-  if (options.decode_cache) {
-    // Check-elided decode under fire: retirement, corruption, and quarantine must fault
-    // identically on the elided path, and the guard auditor must stay silent.
-    config.verify_on_load = true;
-    config.decode_cache = true;
-    config.guard_audit = true;
-  }
+  // Translation caching under fire: cache hits must not perturb virtual time across
+  // retirements and corruption.
+  config.xlat_cache = options.xlat_cache;
   // Profiling under fire: attribution and span tracing must leave the replay fingerprint
   // untouched (CI diffs the profiled campaign's fingerprint against the unprofiled one).
   config.profile = options.profile;
@@ -812,47 +784,7 @@ int RunInjectCampaign(const Options& options) {
   }
 
   if (options.xlat_cache) {
-    const XlatCacheStats xlat = result.system->kernel().xlat_stats();
-    const analysis::InterferenceAuditorStats& audit =
-        result.system->kernel().interference_auditor()->stats();
-    std::fprintf(stderr,
-                 "xlat cache: %llu certified + %llu epoch hits, %llu certified + %llu "
-                 "epoch program hits; auditor checked %llu, %llu violation(s)\n",
-                 static_cast<unsigned long long>(xlat.certified_hits),
-                 static_cast<unsigned long long>(xlat.hits),
-                 static_cast<unsigned long long>(xlat.certified_program_hits),
-                 static_cast<unsigned long long>(xlat.program_hits),
-                 static_cast<unsigned long long>(audit.hits_checked),
-                 static_cast<unsigned long long>(audit.violations));
-    // Under fault injection every certified hit is still revalidated by the auditor; a
-    // violation means injected corruption reached a translation the analysis froze.
-    if (audit.violations != 0) {
-      std::fprintf(stderr, "FAIL: %llu interference violation(s) during campaign\n",
-                   static_cast<unsigned long long>(audit.violations));
-      return 1;
-    }
-  }
-
-  if (options.decode_cache) {
-    const DecodeCacheStats decode = result.system->kernel().decode_stats();
-    const analysis::GuardAuditorStats& audit =
-        result.system->kernel().guard_auditor()->stats();
-    std::fprintf(stderr,
-                 "decode cache: %llu hits (%llu misses), %llu check-elided executions; "
-                 "guard auditor checked %llu, %llu violation(s)\n",
-                 static_cast<unsigned long long>(decode.hits),
-                 static_cast<unsigned long long>(decode.misses),
-                 static_cast<unsigned long long>(
-                     result.system->kernel().stats().guard_elisions),
-                 static_cast<unsigned long long>(audit.hits_checked),
-                 static_cast<unsigned long long>(audit.violations));
-    // Every elided execution re-runs its skipped checks under the auditor; a violation
-    // means injected corruption invalidated a dominance proof the decode cache trusted.
-    if (audit.violations != 0) {
-      std::fprintf(stderr, "FAIL: %llu guard violation(s) during campaign\n",
-                   static_cast<unsigned long long>(audit.violations));
-      return 1;
-    }
+    PrintXlatStats(result.system->kernel().xlat_stats());
   }
 
   // The acceptance bar: every injected fault ends in recovery or policy-driven
@@ -1095,8 +1027,6 @@ int main(int argc, char** argv) {
       options.lifetime_demote = true;
     } else if (arg == "--xlat-cache") {
       options.xlat_cache = true;
-    } else if (arg == "--decode-cache") {
-      options.decode_cache = true;
     } else if (arg == "--race-sanitize") {
       options.race_sanitize = true;
     } else if (arg == "--profile") {
@@ -1198,44 +1128,7 @@ int main(int argc, char** argv) {
   }
 
   if (options.xlat_cache) {
-    const XlatCacheStats xlat = system->kernel().xlat_stats();
-    const analysis::InterferenceAuditorStats& audit =
-        system->kernel().interference_auditor()->stats();
-    std::fprintf(stderr,
-                 "xlat cache: %llu certified + %llu epoch hits (%llu misses), "
-                 "%llu certified + %llu epoch program hits (%llu misses); "
-                 "auditor checked %llu, %llu violation(s)\n",
-                 static_cast<unsigned long long>(xlat.certified_hits),
-                 static_cast<unsigned long long>(xlat.hits),
-                 static_cast<unsigned long long>(xlat.misses),
-                 static_cast<unsigned long long>(xlat.certified_program_hits),
-                 static_cast<unsigned long long>(xlat.program_hits),
-                 static_cast<unsigned long long>(xlat.program_misses),
-                 static_cast<unsigned long long>(audit.hits_checked),
-                 static_cast<unsigned long long>(audit.violations));
-    // Nothing in the canned workloads mutates a certified object; a violation means the
-    // interference analysis certified something it shouldn't have. Fail loudly.
-    if (audit.violations != 0 || system->kernel().stats().interference_violations != 0) {
-      return 1;
-    }
-  }
-
-  if (options.decode_cache) {
-    const DecodeCacheStats decode = system->kernel().decode_stats();
-    const analysis::GuardAuditorStats& audit = system->kernel().guard_auditor()->stats();
-    std::fprintf(stderr,
-                 "decode cache: %llu hits (%llu misses), %llu check-elided executions; "
-                 "guard auditor checked %llu, %llu violation(s)\n",
-                 static_cast<unsigned long long>(decode.hits),
-                 static_cast<unsigned long long>(decode.misses),
-                 static_cast<unsigned long long>(system->kernel().stats().guard_elisions),
-                 static_cast<unsigned long long>(audit.hits_checked),
-                 static_cast<unsigned long long>(audit.violations));
-    // Nothing in the canned workloads invalidates a dominance proof behind the kernel's
-    // back; a violation means the guard analysis certified a check it shouldn't have.
-    if (audit.violations != 0 || system->kernel().stats().guard_violations != 0) {
-      return 1;
-    }
+    PrintXlatStats(system->kernel().xlat_stats());
   }
   return 0;
 }
