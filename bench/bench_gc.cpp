@@ -329,7 +329,7 @@ BENCHMARK(BM_GcStepGranularity)->Arg(32)->Arg(128)->Arg(512)->Arg(4096)->Iterati
 
 // GC-load demotion (E15 companion): a mutator parks on a receive holding a context-local
 // chain of `chain` objects live, and the collector runs a full cycle against it. With
-// lifetime demotion the whole chain is gc_exempt — the cycle never traces it — so the
+// lifetime demotion the whole chain is GC-exempt — the cycle never traces it — so the
 // traced-object count drops by the chain's share of the heap. Both configurations run in
 // the same iteration and the delta ships in the --json counters.
 void BM_DemotionGcLoad(benchmark::State& state) {

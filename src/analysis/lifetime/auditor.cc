@@ -25,8 +25,9 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
 
   // The dying population: tracked entries from this SRO whose table slot still holds the
   // same incarnation. (A stale generation means the object was already reclaimed and the
-  // index possibly reused — that object is not being destroyed now.)
-  std::map<ObjectIndex, const Entry*> population;
+  // index possibly reused — that object is not being destroyed now.) Entries are copied:
+  // the loop erases them from demoted_ as it goes.
+  std::map<ObjectIndex, Entry> population;
   for (auto it = demoted_.begin(); it != demoted_.end();) {
     if (it->second.sro != sro) {
       ++it;
@@ -34,7 +35,7 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
     }
     const ObjectDescriptor& descriptor = table.At(it->first);
     if (descriptor.allocated && descriptor.generation == it->second.generation) {
-      population.emplace(it->first, &it->second);
+      population.emplace(it->first, it->second);
     }
     // Dropped either way: the caller bulk-destroys the SRO right after this audit.
     it = demoted_.erase(it);
@@ -43,25 +44,26 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
   std::vector<LifetimeViolation> found;
   if (population.empty()) return found;
 
-  for (ObjectIndex holder = 0; holder < table.capacity(); ++holder) {
+  const ObjectIndex end = table.capacity();
+  for (ObjectIndex holder = table.NextAllocated(0, end); holder < end;
+       holder = table.NextAllocated(holder + 1, end)) {
     if (holder == owner_context || population.count(holder) != 0) continue;
     const ObjectDescriptor& descriptor = table.At(holder);
-    if (!descriptor.allocated) continue;
     ++stats_.objects_scanned;
     for (uint32_t slot = 0; slot < descriptor.access_count(); ++slot) {
       const AccessDescriptor& ad = descriptor.access[slot];
       if (ad.is_null()) continue;
       auto member = population.find(ad.index());
       if (member == population.end() ||
-          ad.generation() != member->second->generation) {
+          ad.generation() != member->second.generation) {
         continue;
       }
       LifetimeViolation violation;
       violation.object = member->first;
       violation.holder = holder;
       violation.holder_slot = slot;
-      violation.segment = member->second->segment;
-      violation.alloc_pc = member->second->pc;
+      violation.segment = member->second.segment;
+      violation.alloc_pc = member->second.pc;
       found.push_back(violation);
       ++stats_.violations;
     }

@@ -56,15 +56,10 @@ struct ObjectDescriptor {
   // objects it created, and so freed storage returns to the right free list.
   ObjectIndex origin_sro = kInvalidObjectIndex;
 
-  // Garbage collection state.
+  // Garbage collection state. Whether the object is GC-exempt (demoted by the lifetime
+  // analysis, so permanently black) is not recorded here but in the table's exempt bitmap:
+  // see ObjectTable::SetGcExempt.
   GcColor color = GcColor::kWhite;
-
-  // Demoted allocation (lifetime analysis): the collector never whitens, marks, or sweeps
-  // this object — it stays permanently black and its outgoing slots are scanned as roots.
-  // Reclamation happens only through the bulk destroy of its demote SRO at context exit.
-  // Invariant: gc_exempt implies color == kBlack (established at demotion, preserved by
-  // GarbageCollector::Step's whiten phase).
-  bool gc_exempt = false;
 
   // Set once the destruction filter has seen this object; a finalized object that becomes
   // garbage again is reclaimed silently (the type manager had its chance to disassemble it).

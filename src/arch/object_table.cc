@@ -7,6 +7,8 @@ namespace imax432 {
 ObjectTable::ObjectTable(uint32_t capacity) {
   IMAX_CHECK(capacity > 0 && capacity < kInvalidObjectIndex);
   slots_.resize(capacity);
+  live_.assign((capacity + 63) / 64, 0);
+  exempt_.assign((capacity + 63) / 64, 0);
   free_list_.reserve(capacity);
   // Hand out low indices first: push in reverse so pop_back yields ascending order.
   for (uint32_t i = capacity; i > 0; --i) {
@@ -29,6 +31,8 @@ Result<ObjectIndex> ObjectTable::Allocate(SystemType type, Level level, PhysAddr
   ObjectDescriptor& slot = slots_[index];
   IMAX_DCHECK(!slot.allocated);
   slot.allocated = true;
+  SetBit(live_, index);
+  ClearBit(exempt_, index);
   slot.type = type;
   slot.level = level;
   slot.data_base = data_base;
@@ -37,7 +41,6 @@ Result<ObjectIndex> ObjectTable::Allocate(SystemType type, Level level, PhysAddr
   slot.type_def = kInvalidObjectIndex;
   slot.origin_sro = origin_sro;
   slot.color = GcColor::kWhite;
-  slot.gc_exempt = false;
   slot.finalized = false;
   slot.swapped_out = false;
   slot.backing_slot = 0;
@@ -58,6 +61,8 @@ Status ObjectTable::Free(ObjectIndex index) {
     return Fault::kNotAllocated;
   }
   slot.allocated = false;
+  ClearBit(live_, index);
+  ClearBit(exempt_, index);
   slot.access.clear();
   slot.access.shrink_to_fit();
   slot.quarantined = false;
@@ -91,28 +96,6 @@ void ObjectTable::Seal(ObjectIndex index) {
   slot.checksum = DescriptorChecksum(slot);
 }
 
-Result<ObjectDescriptor*> ObjectTable::Resolve(const AccessDescriptor& ad) {
-  if (ad.is_null()) {
-    return Fault::kNullAccess;
-  }
-  if (ad.index() >= capacity()) {
-    return Fault::kInvalidAccess;
-  }
-  ObjectDescriptor& slot = slots_[ad.index()];
-  if (!slot.allocated || slot.generation != ad.generation()) {
-    return Fault::kInvalidAccess;
-  }
-  return &slot;
-}
-
-Result<const ObjectDescriptor*> ObjectTable::Resolve(const AccessDescriptor& ad) const {
-  auto result = const_cast<ObjectTable*>(this)->Resolve(ad);
-  if (!result.ok()) {
-    return result.fault();
-  }
-  return static_cast<const ObjectDescriptor*>(result.value());
-}
-
 Result<AccessDescriptor> ObjectTable::MintAd(ObjectIndex index, RightsMask ad_rights) const {
   if (index >= capacity()) {
     return Fault::kInvalidAccess;
@@ -122,16 +105,6 @@ Result<AccessDescriptor> ObjectTable::MintAd(ObjectIndex index, RightsMask ad_ri
     return Fault::kNotAllocated;
   }
   return AccessDescriptor(index, slot.generation, ad_rights);
-}
-
-ObjectDescriptor& ObjectTable::At(ObjectIndex index) {
-  IMAX_CHECK(index < capacity());
-  return slots_[index];
-}
-
-const ObjectDescriptor& ObjectTable::At(ObjectIndex index) const {
-  IMAX_CHECK(index < capacity());
-  return slots_[index];
 }
 
 }  // namespace imax432

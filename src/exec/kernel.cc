@@ -1009,9 +1009,9 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
             // Skip GC registration: exempt objects are permanently black (never whitened,
             // never swept); their outgoing slots are scanned as roots. Reclamation happens
             // only through the bulk destroy at context exit (see gc/collector.h).
-            ObjectDescriptor& descriptor = machine_->table().At(object.index());
-            descriptor.gc_exempt = true;
-            descriptor.color = GcColor::kBlack;  // exempt implies black, from birth
+            ObjectTable& table = machine_->table();
+            table.SetGcExempt(object.index());
+            table.At(object.index()).color = GcColor::kBlack;  // exempt implies black, from birth
             if (lifetime_auditor_ != nullptr) {
               lifetime_auditor_->OnDemoted(object.index(), object.generation(),
                                            demote_sro.index(), segment, site_pc);

@@ -30,16 +30,13 @@ void GarbageCollector::ShadeRoots() {
       Shade(root.index());
     }
   }
-  // Demoted (gc_exempt) objects are never traced — they stay black — but anything they
+  // Demoted (GC-exempt) objects are never traced — they stay black — but anything they
   // reference is live for as long as their demote SRO exists, so their outgoing slots are
   // pseudo-roots. Without this, a heap object referenced only from a demoted object would
-  // be swept while still reachable.
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
-    const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated || !descriptor.gc_exempt) {
-      continue;
-    }
-    for (const AccessDescriptor& slot : descriptor.access) {
+  // be swept while still reachable. (Only allocated slots carry the exempt bit.)
+  const ObjectIndex end = table.capacity();
+  for (ObjectIndex i = table.NextExempt(0, end); i < end; i = table.NextExempt(i + 1, end)) {
+    for (const AccessDescriptor& slot : table.At(i).access) {
       if (!slot.is_null() && table.Resolve(slot).ok()) {
         Shade(slot.index());
       }
@@ -67,11 +64,10 @@ bool GarbageCollector::MarkFixpoint() {
   ObjectTable& table = kernel_->machine().table();
   bool changed = false;
 
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  const ObjectIndex end = table.capacity();
+  for (ObjectIndex i = table.NextAllocated(0, end); i < end;
+       i = table.NextAllocated(i + 1, end)) {
     const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated) {
-      continue;
-    }
     // Dijkstra's termination scan: the mutator's gray bit marks objects gray *in place*
     // (the hardware cannot push onto the collector's worklist), so the collector must
     // rescan for gray descriptors until a full pass finds none. This is the "minimal
@@ -112,21 +108,22 @@ bool GarbageCollector::Step(uint32_t units) {
 
       case Phase::kWhiten: {
         // Flip every descriptor to white; the mutator's gray bit re-shades anything moved
-        // from here on, so no live object can stay white through a full mark.
+        // from here on, so no live object can stay white through a full mark. The batch is
+        // charged for every slot it covers, though only the allocated ones need a visit.
         uint32_t batch = std::min(units, table.capacity() - cursor_);
-        for (uint32_t i = 0; i < batch; ++i, ++cursor_) {
-          ObjectDescriptor& descriptor = table.At(cursor_);
-          if (descriptor.allocated) {
-            if (descriptor.gc_exempt) {
-              // Demoted objects never enter the cycle: permanently black, reclaimed only
-              // by their demote SRO's bulk destroy at context exit.
-              descriptor.color = GcColor::kBlack;
-              ++stats_.exempt_objects_skipped;
-            } else {
-              descriptor.color = GcColor::kWhite;
-            }
+        const ObjectIndex end = cursor_ + batch;
+        for (ObjectIndex i = table.NextAllocated(cursor_, end); i < end;
+             i = table.NextAllocated(i + 1, end)) {
+          if (table.gc_exempt(i)) {
+            // Demoted objects never enter the cycle: permanently black, reclaimed only by
+            // their demote SRO's bulk destroy at context exit.
+            table.At(i).color = GcColor::kBlack;
+            ++stats_.exempt_objects_skipped;
+          } else {
+            table.At(i).color = GcColor::kWhite;
           }
         }
+        cursor_ = end;
         units -= batch;
         work_units_ += batch;
         if (cursor_ == table.capacity()) {
@@ -169,10 +166,15 @@ bool GarbageCollector::Step(uint32_t units) {
       }
 
       case Phase::kSweep: {
+        // Charged for every slot like whiten. SweepOne may free later slots of the batch (a
+        // garbage SRO's cascade); NextAllocated re-reads the bitmap, so they are skipped.
         uint32_t batch = std::min(units, table.capacity() - cursor_);
-        for (uint32_t i = 0; i < batch; ++i, ++cursor_) {
-          SweepOne(cursor_);
+        const ObjectIndex end = cursor_ + batch;
+        for (ObjectIndex i = table.NextAllocated(cursor_, end); i < end;
+             i = table.NextAllocated(i + 1, end)) {
+          SweepOne(i);
         }
+        cursor_ = end;
         units -= batch;
         work_units_ += batch;
         if (cursor_ == table.capacity()) {
@@ -212,7 +214,7 @@ AccessDescriptor GarbageCollector::FilterPortFor(const ObjectDescriptor& descrip
 void GarbageCollector::SweepOne(ObjectIndex index) {
   ObjectTable& table = kernel_->machine().table();
   ObjectDescriptor& descriptor = table.At(index);
-  if (!descriptor.allocated || descriptor.gc_exempt ||
+  if (!descriptor.allocated || table.gc_exempt(index) ||
       descriptor.color != GcColor::kWhite) {
     return;
   }
@@ -295,19 +297,22 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
   GcStats before = stats_;
 
   // Population: objects allocated directly from this SRO. Whiten them; everything else
-  // keeps its color (a non-white color elsewhere never matters below).
-  std::vector<bool> population(table.capacity(), false);
+  // keeps its color (a non-white color elsewhere never matters below). The pass is charged
+  // one unit per table slot, as a full descriptor scan.
+  const ObjectIndex end = table.capacity();
+  std::vector<bool> population(end, false);
   std::vector<ObjectIndex> members;
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  for (ObjectIndex i = table.NextAllocated(0, end); i < end;
+       i = table.NextAllocated(i + 1, end)) {
     ObjectDescriptor& descriptor = table.At(i);
-    if (descriptor.allocated && descriptor.origin_sro == sro_index &&
-        !descriptor.gc_exempt && descriptor.type != SystemType::kStorageResource) {
+    if (descriptor.origin_sro == sro_index && !table.gc_exempt(i) &&
+        descriptor.type != SystemType::kStorageResource) {
       population[i] = true;
       descriptor.color = GcColor::kWhite;
       members.push_back(i);
     }
-    ++work_units_;
   }
+  work_units_ += end;
 
   IMAX_CHECK(gray_.empty());
   auto shade_if_member = [&](const AccessDescriptor& ad) {
@@ -319,12 +324,12 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
 
   // External scan: one flat pass over every other object's access part, plus the root set.
   // The level rule guarantees no reference into the population hides anywhere else.
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
-    const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated || population[i]) {
+  for (ObjectIndex i = table.NextAllocated(0, end); i < end;
+       i = table.NextAllocated(i + 1, end)) {
+    if (population[i]) {
       continue;
     }
-    for (const AccessDescriptor& slot : descriptor.access) {
+    for (const AccessDescriptor& slot : table.At(i).access) {
       shade_if_member(slot);
       ++stats_.slots_scanned;
       ++work_units_;

@@ -12,6 +12,12 @@
 // it "requires only minimal synchronization with the rest of the operating system" — here,
 // none at all beyond the gray bit and the root snapshot.
 //
+// Cost model versus host work: virtual time charges the global scans one work unit per
+// table slot (whiten, sweep, and local collection's population pass), allocated or not. The
+// host visits only the slots that matter, walking the table's live and GC-exempt bitmaps
+// (ObjectTable::NextAllocated / NextExempt) in ascending order, so it does the same work in
+// the same order as a loop over every slot would, without touching the free descriptors.
+//
 // Two extensions beyond plain Dijkstra, both from the paper:
 //   - SRO liveness: a storage resource object is live while any object allocated from it is
 //     live (reclaiming an SRO reclaims everything it allocated, which must never hit a live
@@ -43,7 +49,7 @@ struct GcStats {
   uint64_t objects_finalized = 0;    // garbage sent to destruction filters
   uint64_t sros_kept_live = 0;       // SROs shaded by the origin-liveness rule
   uint64_t filter_send_failures = 0; // filter port full: object survives to next cycle
-  uint64_t exempt_objects_skipped = 0;  // demoted (gc_exempt) objects held black at whiten
+  uint64_t exempt_objects_skipped = 0;  // demoted (GC-exempt) objects held black at whiten
 };
 
 class GarbageCollector {
@@ -92,7 +98,8 @@ class GarbageCollector {
   // Starts a new collection cycle (whiten + root shading setup).
   void BeginCycle();
   // Performs up to `units` units of work; returns true while more work remains. One unit is
-  // one descriptor examined or one AD slot scanned.
+  // one descriptor slot covered by whiten or sweep (free slots included), one gray object
+  // blackened, or one AD slot scanned.
   bool Step(uint32_t units);
   bool cycle_in_progress() const { return phase_ != Phase::kIdle; }
 

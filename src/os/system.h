@@ -65,7 +65,7 @@ struct SystemConfig {
   bool start_patrol_daemon = false;
   uint32_t patrol_units_per_step = 256;
   // GC-load demotion (src/analysis/lifetime): allocations the static lifetime analysis
-  // proves context-local are taken from a per-context demote SRO, marked gc_exempt (the
+  // proves context-local are taken from a per-context demote SRO, marked GC-exempt (the
   // collector never traces or sweeps them), and bulk-destroyed at context exit. Requires
   // verify_on_load — without program summaries no site is ever demotable, so the flag is
   // inert. Cycle charges are identical on both allocation paths; the simulated timeline is

@@ -51,13 +51,11 @@ class LifetimeDemotionTest : public ::testing::Test {
     return process.value();
   }
 
-  // The one gc_exempt object in the table, or kInvalidObjectIndex.
+  // The one GC-exempt object in the table, or kInvalidObjectIndex.
   ObjectIndex FindDemoted() {
-    for (ObjectIndex i = 0; i < machine_.table().capacity(); ++i) {
-      const ObjectDescriptor& descriptor = machine_.table().At(i);
-      if (descriptor.allocated && descriptor.gc_exempt) return i;
-    }
-    return kInvalidObjectIndex;
+    const ObjectIndex end = machine_.table().capacity();
+    const ObjectIndex found = machine_.table().NextExempt(0, end);
+    return found < end ? found : kInvalidObjectIndex;
   }
 
   Machine machine_;

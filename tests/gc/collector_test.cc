@@ -400,5 +400,83 @@ TEST_F(CollectorTest, PropertyReachabilityIsExact) {
   }
 }
 
+// One collector over a table of `capacity` slots, holding the same small object graph
+// whatever the capacity: a rooted chain a -> b, global garbage, and a local SRO with one
+// rooted member and one garbage member.
+struct ChargeRig {
+  static MachineConfig Config(uint32_t capacity) {
+    MachineConfig config = GcConfig();
+    config.object_table_capacity = capacity;
+    return config;
+  }
+
+  explicit ChargeRig(uint32_t capacity)
+      : machine(Config(capacity)), memory(&machine), kernel(&machine, &memory), gc(&kernel) {
+    AccessDescriptor a = New(memory.global_heap());
+    AccessDescriptor b = New(memory.global_heap());
+    (void)New(memory.global_heap());
+    auto local = memory.CreateLocalSro(memory.global_heap(), 16 * 1024, 1);
+    EXPECT_TRUE(local.ok());
+    sro = local.value();
+    AccessDescriptor member = New(sro);
+    (void)New(sro);
+    EXPECT_TRUE(machine.addressing().WriteAd(a, 0, b).ok());
+    kernel.AddRootProvider([a, member](std::vector<AccessDescriptor>* roots) {
+      roots->push_back(a);
+      roots->push_back(member);
+    });
+  }
+
+  AccessDescriptor New(const AccessDescriptor& heap) {
+    auto ad = memory.CreateObject(heap, SystemType::kGeneric, 32, 2, rights::kAll);
+    EXPECT_TRUE(ad.ok());
+    return ad.value();
+  }
+
+  Machine machine;
+  BasicMemoryManager memory;
+  Kernel kernel;
+  GarbageCollector gc;
+  AccessDescriptor sro;
+};
+
+// Virtual time charges the collector's descriptor scans for every table slot, allocated or
+// not: whiten and sweep one unit each per slot, local collection's population pass one unit
+// per slot. The same graph on a table twice the size must cost exactly that much more,
+// and nothing else may change.
+TEST(CollectorChargeTest, ScansChargeEveryTableSlot) {
+  ChargeRig small(4096);
+  ChargeRig large(8192);
+
+  uint64_t small_before = small.gc.work_units();
+  GcStats small_stats = small.gc.CollectNow();
+  uint64_t small_global = small.gc.work_units() - small_before;
+  uint64_t large_before = large.gc.work_units();
+  GcStats large_stats = large.gc.CollectNow();
+  uint64_t large_global = large.gc.work_units() - large_before;
+  EXPECT_EQ(large_global - small_global, 2u * 4096u);
+  EXPECT_GT(small_stats.objects_reclaimed, 0u);
+  EXPECT_EQ(small_stats.objects_scanned, large_stats.objects_scanned);
+  EXPECT_EQ(small_stats.slots_scanned, large_stats.slots_scanned);
+  EXPECT_EQ(small_stats.objects_reclaimed, large_stats.objects_reclaimed);
+
+  // A fresh garbage member for the local pass to find.
+  (void)small.New(small.sro);
+  (void)large.New(large.sro);
+  small_before = small.gc.work_units();
+  auto small_local = small.gc.CollectLocalNow(small.sro);
+  ASSERT_TRUE(small_local.ok());
+  uint64_t small_local_units = small.gc.work_units() - small_before;
+  large_before = large.gc.work_units();
+  auto large_local = large.gc.CollectLocalNow(large.sro);
+  ASSERT_TRUE(large_local.ok());
+  uint64_t large_local_units = large.gc.work_units() - large_before;
+  EXPECT_EQ(large_local_units - small_local_units, 4096u);
+  EXPECT_EQ(small_local.value().objects_reclaimed, 1u);
+  EXPECT_EQ(small_local.value().objects_scanned, large_local.value().objects_scanned);
+  EXPECT_EQ(small_local.value().slots_scanned, large_local.value().slots_scanned);
+  EXPECT_EQ(small_local.value().objects_reclaimed, large_local.value().objects_reclaimed);
+}
+
 }  // namespace
 }  // namespace imax432

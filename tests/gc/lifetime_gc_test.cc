@@ -1,5 +1,5 @@
 // GC-exemption semantics for demoted objects: the collector never whitens, marks, or
-// sweeps a gc_exempt descriptor; its outgoing slots are pseudo-roots; the mutator gray bit
+// sweeps a slot with the table's exempt bit set; its outgoing slots are pseudo-roots; the mutator gray bit
 // composes with permanently-black objects; local collection excludes them from the
 // population; reclamation happens only through the demote SRO's bulk destroy.
 
@@ -36,9 +36,8 @@ class LifetimeGcTest : public ::testing::Test {
   AccessDescriptor NewDemoted(const AccessDescriptor& sro, uint32_t access_slots = 2) {
     auto ad = memory_.CreateObject(sro, SystemType::kGeneric, 32, access_slots, rights::kAll);
     EXPECT_TRUE(ad.ok());
-    ObjectDescriptor& descriptor = machine_.table().At(ad.value().index());
-    descriptor.gc_exempt = true;
-    descriptor.color = GcColor::kBlack;
+    machine_.table().SetGcExempt(ad.value().index());
+    machine_.table().At(ad.value().index()).color = GcColor::kBlack;
     return ad.value();
   }
 
@@ -66,7 +65,7 @@ TEST_F(LifetimeGcTest, ExemptObjectSurvivesACycleWithNoReferences) {
   EXPECT_GE(stats.exempt_objects_skipped, 1u);
   // Permanently black: the whiten phase held the color.
   EXPECT_EQ(machine_.table().At(demoted.index()).color, GcColor::kBlack);
-  EXPECT_TRUE(machine_.table().At(demoted.index()).gc_exempt);
+  EXPECT_TRUE(machine_.table().gc_exempt(demoted.index()));
 }
 
 TEST_F(LifetimeGcTest, ExemptObjectsSlotsArePseudoRoots) {
@@ -144,18 +143,22 @@ TEST_F(LifetimeGcTest, BulkDestroyIsTheOnlyReclamationPath) {
 }
 
 TEST_F(LifetimeGcTest, ReusedTableSlotDoesNotInheritExemptionOrFinalization) {
-  // Regression: ObjectTable::Allocate must reset gc_exempt (and finalized) or a reused
-  // slot would be invisible to the collector (or skip its destruction filter) forever.
+  // Regression: the table must drop the exempt bit (and Allocate reset finalized) or a
+  // reused slot would be invisible to the collector (or skip its destruction filter)
+  // forever.
   ObjectTable table(4);
   auto first = table.Allocate(SystemType::kGeneric, 1, 0, 0, 0, kInvalidObjectIndex, 0);
   ASSERT_TRUE(first.ok());
-  table.At(first.value()).gc_exempt = true;
+  table.SetGcExempt(first.value());
   table.At(first.value()).finalized = true;
+  ASSERT_TRUE(table.gc_exempt(first.value()));
   ASSERT_TRUE(table.Free(first.value()).ok());
+  EXPECT_FALSE(table.gc_exempt(first.value()));
+  EXPECT_EQ(table.NextExempt(0, table.capacity()), table.capacity());
   auto second = table.Allocate(SystemType::kGeneric, 1, 0, 0, 0, kInvalidObjectIndex, 0);
   ASSERT_TRUE(second.ok());
   ASSERT_EQ(second.value(), first.value());  // the slot really is reused
-  EXPECT_FALSE(table.At(second.value()).gc_exempt);
+  EXPECT_FALSE(table.gc_exempt(second.value()));
   EXPECT_FALSE(table.At(second.value()).finalized);
 }
 
