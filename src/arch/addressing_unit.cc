@@ -56,11 +56,11 @@ inline void StoreScalar(uint8_t* p, uint32_t width, uint64_t value) {
 // A fused-fast-path probe: a translation hit plus every per-access check CheckDataAccess
 // performs, evaluated on the already-probed entry in one branch chain. Returns nullptr on
 // any miss or check failure, sending the caller to the layered slow path — which owns fault
-// selection, so fault semantics are byte-identical with the cache bound.
-inline ObjectDescriptor* ProbeFastDataHit(XlatCache* xlat, const PhysicalMemory& memory,
+// selection, so fault semantics are those of the authoritative Resolve.
+inline ObjectDescriptor* ProbeFastDataHit(XlatCache& xlat, const PhysicalMemory& memory,
                                           const AccessDescriptor& ad, uint32_t offset,
                                           uint32_t width, RightsMask required) {
-  XlatEntry& entry = xlat->Probe(ad.index());
+  XlatEntry& entry = xlat.Probe(ad.index());
   ObjectDescriptor* descriptor = entry.descriptor;
   if (descriptor == nullptr || entry.index != ad.index() ||
       entry.generation != ad.generation() || !descriptor->allocated ||
@@ -77,13 +77,13 @@ inline ObjectDescriptor* ProbeFastDataHit(XlatCache* xlat, const PhysicalMemory&
 }  // namespace
 
 Result<ObjectDescriptor*> AddressingUnit::ResolveAndFill(const AccessDescriptor& ad) const {
-  ++xlat_->stats().misses;
+  ++xlat_.stats().misses;
   Result<ObjectDescriptor*> resolved = table_->Resolve(ad);
   if (!resolved.ok()) {
     return resolved;
   }
   ObjectDescriptor* descriptor = resolved.value();
-  XlatEntry& entry = xlat_->Probe(ad.index());
+  XlatEntry& entry = xlat_.Probe(ad.index());
   if (entry.index != ad.index() || entry.generation != ad.generation()) {
     // New identity in this slot: drop any payload carried for the evicted translation.
     entry = XlatEntry{};
@@ -115,12 +115,10 @@ Result<PhysAddr> AddressingUnit::CheckDataAccess(const AccessDescriptor& ad, uin
 
 Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t offset,
                                           uint32_t width) const {
-  if (xlat_ != nullptr) {
-    if (ObjectDescriptor* hit =
-            ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kRead)) {
-      ++xlat_->stats().hits;
-      return LoadScalar(memory_->at(hit->data_base + offset), width);
-    }
+  if (ObjectDescriptor* hit =
+          ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kRead)) {
+    ++xlat_.stats().hits;
+    return LoadScalar(memory_->at(hit->data_base + offset), width);
   }
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     return Fault::kInvalidArgument;
@@ -131,15 +129,13 @@ Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t o
 
 Status AddressingUnit::WriteData(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
                                  uint64_t value) {
-  if (xlat_ != nullptr) {
-    if (ObjectDescriptor* hit =
-            ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kWrite)) {
-      ++xlat_->stats().hits;
-      StoreScalar(memory_->at(hit->data_base + offset), width, value);
-      // Same epoch bump as the slow path, on the descriptor already in hand.
-      ++hit->data_epoch;
-      return Status::Ok();
-    }
+  if (ObjectDescriptor* hit =
+          ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kWrite)) {
+    ++xlat_.stats().hits;
+    StoreScalar(memory_->at(hit->data_base + offset), width, value);
+    // Same epoch bump as the slow path, on the descriptor already in hand.
+    ++hit->data_epoch;
+    return Status::Ok();
   }
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     return Fault::kInvalidArgument;

@@ -76,36 +76,31 @@ class AddressingUnit {
   // fault-information area; the memory manager reads it to service the fault).
   ObjectIndex last_swapped_object() const { return last_swapped_object_; }
 
-  // Binds (or unbinds, with nullptr) a per-processor AD-translation cache
-  // (SystemConfig::xlat_cache). Every Resolve in this unit then goes through CachedResolve:
-  // a hit replicates Resolve's allocated/generation checks on the cached descriptor pointer.
-  // Rights, bounds, quarantine, swap state, and data_base stay per-access on the resolved
-  // descriptor, so fault semantics are byte-identical with the cache bound.
-  void BindXlatCache(XlatCache* cache) { xlat_ = cache; }
-  XlatCache* xlat_cache() const { return xlat_; }
+  // The AD-translation cache (src/arch/xlat_cache.h) every Resolve in this unit goes
+  // through: a hit replicates Resolve's allocated/generation checks on the cached descriptor
+  // pointer. Rights, bounds, quarantine, swap state, and data_base stay per-access on the
+  // resolved descriptor, so fault semantics are those of the authoritative Resolve. The
+  // kernel's instruction fetch shares the cache.
+  XlatCache& xlat() { return xlat_; }
 
  private:
-  // Common data-part checks; returns the physical address of (ad.data_base + offset).
-  // always_inline pins the no-cache configuration's codegen: the fused fast path below
-  // grows ReadData/WriteData past GCC's inlining budget, and letting this helper fall out
-  // of line would slow the default (cache-off) interpreter hot path by ~50%.
+  // Common data-part checks; returns the physical address of (ad.data_base + offset): the
+  // miss path of ReadData/WriteData and the whole of the block transfers. GCC inlines it
+  // with or without always_inline, but forced inline early it leaves ReadData and WriteData
+  // about a fifth smaller at -O3 (GCC 12).
   __attribute__((always_inline)) inline Result<PhysAddr> CheckDataAccess(
       const AccessDescriptor& ad, uint32_t offset, uint32_t length, RightsMask required) const;
 
-  // ObjectTable::Resolve through the bound translation cache (authoritative Resolve when no
-  // cache is bound). Hot: inline, one predictable branch on the unbound path.
+  // ObjectTable::Resolve through the translation cache. Hot: inline.
   Result<ObjectDescriptor*> CachedResolve(const AccessDescriptor& ad) const {
-    if (xlat_ != nullptr) {
-      XlatEntry& entry = xlat_->Probe(ad.index());
-      if (entry.descriptor != nullptr && entry.index == ad.index() &&
-          entry.generation == ad.generation() && entry.descriptor->allocated &&
-          entry.descriptor->generation == ad.generation()) {
-        ++xlat_->stats().hits;
-        return entry.descriptor;
-      }
-      return ResolveAndFill(ad);
+    XlatEntry& entry = xlat_.Probe(ad.index());
+    if (entry.descriptor != nullptr && entry.index == ad.index() &&
+        entry.generation == ad.generation() && entry.descriptor->allocated &&
+        entry.descriptor->generation == ad.generation()) {
+      ++xlat_.stats().hits;
+      return entry.descriptor;
     }
-    return table_->Resolve(ad);
+    return ResolveAndFill(ad);
   }
 
   // Slow path: authoritative Resolve, then (on success) fill the probed entry. Fault
@@ -116,7 +111,7 @@ class AddressingUnit {
   PhysicalMemory* memory_;
   uint64_t shade_count_ = 0;
   mutable ObjectIndex last_swapped_object_ = kInvalidObjectIndex;
-  XlatCache* xlat_ = nullptr;
+  mutable XlatCache xlat_;
 };
 
 }  // namespace imax432

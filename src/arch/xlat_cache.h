@@ -1,4 +1,4 @@
-// Per-processor AD-translation cache.
+// The AD-translation cache.
 //
 // Every checked access through the AddressingUnit funnels through ObjectTable::Resolve — a
 // capacity check plus allocated/generation validation per access. The running process's own
@@ -7,9 +7,10 @@
 // and the frame fetches the program only at an event's first instruction or after a call,
 // return, segment-slot store, segment destruction or store change, so what reaches it per
 // instruction is the operand objects the instruction touches, plus those program fetches.
-// On the real 432 each processor kept the hot descriptors in an on-chip cache; this class is
-// that structure for the emulator, a small direct-mapped array bound into the AddressingUnit
-// by Kernel::ProcessorStep when SystemConfig::xlat_cache is set.
+// Each 432 processor kept the hot descriptors in an on-chip cache that every access went
+// through; this class is that structure for the emulator, one direct-mapped array owned by
+// the AddressingUnit and probed by every access from every processor and from host code. A
+// miss falls back to ObjectTable::Resolve. The kernel's instruction fetch shares it.
 //
 // Every entry is epoch-keyed. A hit still revalidates the descriptor's `allocated` bit and
 // generation against the presented AD (exactly the checks ObjectTable::Resolve performs), so
@@ -17,19 +18,22 @@
 // capacity test, and the Result plumbing. Instruction-fetch payload hits additionally
 // revalidate the segment type, the descriptor's `data_epoch`, and the ProgramStore version
 // before bypassing the store's map lookup. No kernel event needs to clear the cache: every
-// change to what an AD translates to fails one of these compares.
+// change to what an AD translates to fails one of these compares, which is also why one
+// cache can serve every processor: an entry another processor filled is revalidated like
+// any other.
 //
 // Downstream checks are NOT cached: rights, bounds, quarantine, and swap state are examined
 // per access by the AddressingUnit on the descriptor a hit returns, and `data_base` is
 // re-read on every data access (so swap-in relocation needs no invalidation). The cache
-// holds host-side state only and charges no cycles — virtual time is bit-identical with the
-// cache on or off, preserving the PR 5 replay-fingerprint contract.
+// holds host-side state only and charges no cycles, so virtual time is what the
+// authoritative Resolve alone would give.
 
 #ifndef IMAX432_SRC_ARCH_XLAT_CACHE_H_
 #define IMAX432_SRC_ARCH_XLAT_CACHE_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "src/arch/types.h"
 
@@ -60,15 +64,17 @@ struct XlatCacheStats {
 
 class XlatCache {
  public:
-  static constexpr uint32_t kEntries = 64;  // direct-mapped, power of two
+  static constexpr uint32_t kEntries = 256;  // direct-mapped, power of two
 
-  XlatEntry& Probe(ObjectIndex index) { return entries_[index & (kEntries - 1)]; }
+  XlatEntry& Probe(ObjectIndex index) { return (*entries_)[index & (kEntries - 1)]; }
 
   XlatCacheStats& stats() { return stats_; }
-  const XlatCacheStats& stats() const { return stats_; }
 
  private:
-  std::array<XlatEntry, kEntries> entries_{};
+  // Held out of line (10 KB) so the AddressingUnit, and the Machine and System that embed
+  // it, stay small.
+  std::unique_ptr<std::array<XlatEntry, kEntries>> entries_ =
+      std::make_unique<std::array<XlatEntry, kEntries>>();
   XlatCacheStats stats_;
 };
 

@@ -129,14 +129,11 @@ Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
     view.SetSlot(ProcessorLayout::kSlotDispatchPort, port);
 
     processors_.push_back(ProcessorRec{id, object, port, AccessDescriptor(), machine_->now(),
-                                       false, false, 0, XlatCache{}});
+                                       false, false, 0});
     machine_->profiler().OnProcessorAdded(id, machine_->now());
     // The processor comes online and immediately looks for work.
     machine_->events().ScheduleAfter(0, [this, id] { ProcessorFetch(id); });
   }
-  // push_back may have reallocated processors_; drop any stale addressing-unit binding
-  // until the next ProcessorStep rebinds the executing processor's cache.
-  machine_->addressing().BindXlatCache(nullptr);
   return Status::Ok();
 }
 
@@ -581,6 +578,14 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
   machine_->events().ScheduleAt(done, [this, id = rec.id] { ProcessorStep(id); });
 }
 
+void Kernel::Requeue(const AccessDescriptor& process) {
+  Status ready = MakeReady(process);
+  if (!ready.ok()) {
+    ProcessView proc = process_view(process);
+    RaiseFault(proc, ready.fault());
+  }
+}
+
 void Kernel::ProcessorFetch(uint16_t processor_id) {
   ProcessorRec& rec = processors_[processor_id];
   if (rec.halted) {
@@ -685,13 +690,6 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     return false;
   }
   AddressingUnit& au = machine_->addressing();
-  if (xlat_cache_enabled_) {
-    // Per-processor translation cache: rebound every instruction, not once per event, so
-    // the addressing unit always consults the cache of the processor actually executing,
-    // and never a pointer left stale by a processors_ reallocation (a service that adds
-    // processors mid-event also unbinds it).
-    au.BindXlatCache(&rec.xlat);
-  }
   // The running process's system objects are validated when the frame is built, then read
   // and written through their pinned descriptors for the rest of the event (DESIGN.md §10).
   if (frame.proc.ad() != rec.current) {
@@ -732,22 +730,12 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
       !frame.segment_descriptor->allocated ||
       frame.segment_descriptor->generation != segment.generation() ||
       frame.program_version != programs_.version()) {
-    if (xlat_cache_enabled_) {
-      auto cached = FetchProgramCached(rec, segment);
-      if (!cached.ok()) {
-        FaultAndFetch(processor_id, proc, cached.fault());
-        return false;
-      }
-      frame.program = cached.value();
-    } else {
-      auto fetched = programs_.Fetch(segment);
-      if (!fetched.ok()) {
-        FaultAndFetch(processor_id, proc, fetched.fault());
-        return false;
-      }
-      frame.program_ref = fetched.value();
-      frame.program = frame.program_ref.get();
+    auto fetched = FetchProgram(segment);
+    if (!fetched.ok()) {
+      FaultAndFetch(processor_id, proc, fetched.fault());
+      return false;
     }
+    frame.program = fetched.value();
     frame.segment = segment;
     frame.segment_descriptor = &machine_->table().At(segment.index());
     frame.program_version = programs_.version();
@@ -823,9 +811,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
         ++stats_.time_slice_ends;
         machine_->trace().Emit(TraceEventKind::kPreempt, done, rec.id, rec.current.index());
         proc.set_slice_used(0);
-        machine_->events().ScheduleAt(done, [this, process = rec.current] {
-          IMAX_CHECK(MakeReady(process).ok());
-        });
+        machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
         machine_->events().ScheduleAt(done,
                                       [this, processor_id] { ProcessorFetch(processor_id); });
       } else {
@@ -836,9 +822,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     }
     case StepEffect::Kind::kYield: {
       proc.set_slice_used(0);
-      machine_->events().ScheduleAt(done, [this, process = rec.current] {
-        IMAX_CHECK(MakeReady(process).ok());
-      });
+      machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
       machine_->events().ScheduleAt(done,
                                     [this, processor_id] { ProcessorFetch(processor_id); });
       break;
@@ -1713,21 +1697,9 @@ analysis::LifetimeAnalysisReport Kernel::AnalyzeLifetimes() {
   return analysis::AnalyzeLifetimes(effect_graph_, lifetime_summaries_);
 }
 
-XlatCacheStats Kernel::xlat_stats() const {
-  XlatCacheStats total;
-  for (const ProcessorRec& rec : processors_) {
-    const XlatCacheStats& s = rec.xlat.stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.program_hits += s.program_hits;
-    total.program_misses += s.program_misses;
-  }
-  return total;
-}
-
-Result<const Program*> Kernel::FetchProgramCached(ProcessorRec& rec,
-                                                 const AccessDescriptor& ad) {
-  XlatEntry& entry = rec.xlat.Probe(ad.index());
+Result<const Program*> Kernel::FetchProgram(const AccessDescriptor& ad) {
+  XlatCache& xlat = machine_->addressing().xlat();
+  XlatEntry& entry = xlat.Probe(ad.index());
   if (entry.program != nullptr && entry.index == ad.index() &&
       entry.generation == ad.generation()) {
     // Revalidate exactly what ProgramStore::Fetch checks, plus the epochs that witness
@@ -1737,11 +1709,11 @@ Result<const Program*> Kernel::FetchProgramCached(ProcessorRec& rec,
         descriptor->type == SystemType::kInstructionSegment &&
         descriptor->data_epoch == entry.data_epoch &&
         entry.program_version == programs_.version()) {
-      ++rec.xlat.stats().program_hits;
+      ++xlat.stats().program_hits;
       return static_cast<const Program*>(entry.program);
     }
   }
-  ++rec.xlat.stats().program_misses;
+  ++xlat.stats().program_misses;
   IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
   if (descriptor->type != SystemType::kInstructionSegment) {
     return Fault::kTypeMismatch;

@@ -264,15 +264,9 @@ class Kernel {
   }
   analysis::LifetimeAuditor* lifetime_auditor() { return lifetime_auditor_.get(); }
 
-  // Arms the per-processor AD-translation caches (SystemConfig::xlat_cache): ProcessorStep
-  // binds each processor's cache into the AddressingUnit and serves the step frame's
-  // program fetches through it. Host-side only — cycle charges are untouched, so virtual
-  // time and the replay fingerprint are bit-identical with the cache on or off.
-  void EnableXlatCache() { xlat_cache_enabled_ = true; }
-  bool xlat_cache_enabled() const { return xlat_cache_enabled_; }
-
-  // Aggregate hit/miss counters over every processor's translation cache.
-  XlatCacheStats xlat_stats() const;
+  // Hit/miss counters of the addressing unit's translation cache, which every processor's
+  // accesses and program fetches go through.
+  const XlatCacheStats& xlat_stats() const { return machine_->addressing().xlat().stats(); }
 
   // Object names used by analysis diagnostics and annotated disassembly. Name ports before
   // the programs using them load: summaries render their disassembly at registration time.
@@ -303,7 +297,6 @@ class Kernel {
     bool waiting = false;         // queued at the dispatching port as an idle receiver
     bool halted = false;
     Cycles stall_until = 0;       // transient stall: no execution before this time
-    XlatCache xlat;               // per-processor AD-translation cache (xlat_cache_enabled_)
   };
 
   // Outcome of one interpreted instruction.
@@ -317,9 +310,8 @@ class Kernel {
   // The running process's objects for one ProcessorStep event: its pinned process view, the
   // pinned processor view, the pinned view of its current context, and the program that
   // context executes, with the segment AD it was fetched through, that segment's descriptor
-  // and the ProgramStore::version() at the fetch (and, with the translation cache off, the
-  // reference that keeps the program alive). A local of ProcessorStep, so nothing another
-  // agent does between events is ever seen through it (DESIGN.md §10).
+  // and the ProgramStore::version() at the fetch. A local of ProcessorStep, so nothing
+  // another agent does between events is ever seen through it (DESIGN.md §10).
   struct StepFrame {
     ProcessView proc;
     ObjectView processor;
@@ -328,7 +320,6 @@ class Kernel {
     AccessDescriptor segment;
     const ObjectDescriptor* segment_descriptor = nullptr;
     uint64_t program_version = 0;
-    ProgramRef program_ref;
   };
 
   // Runs the process bound to the processor: one instruction, then each following one that
@@ -347,6 +338,10 @@ class Kernel {
   // Raises `fault` on the process and has the processor look for other work after the
   // fault-recovery charge.
   void FaultAndFetch(uint16_t processor_id, ProcessView& proc, Fault fault);
+  // Puts a process that ended its time slice or yielded back in the dispatching mix. User
+  // code holding its own process AD can point its dispatch-port slot at a non-port (or a
+  // port can be full); the fault MakeReady returns is then raised on the process.
+  void Requeue(const AccessDescriptor& process);
   // Tries to bind the next ready process; goes idle if none.
   void ProcessorFetch(uint16_t processor_id);
   // Binds `process` to the processor and schedules its first step after dispatch latency.
@@ -391,11 +386,12 @@ class Kernel {
   // AnalyzeSystem and AnalyzeRaces).
   void EnsureSummaries();
 
-  // Instruction fetch through the processor's translation cache: a hit skips the table
-  // resolve and the program-store map lookup. Every hit rechecks liveness, generation, type,
-  // data_epoch, and the store version, so every path that could change what an AD
-  // translates to forces the authoritative slow path.
-  Result<const Program*> FetchProgramCached(ProcessorRec& rec, const AccessDescriptor& ad);
+  // Instruction fetch through the addressing unit's translation cache: a hit skips the
+  // table resolve and the program-store map lookup. Every hit rechecks liveness, generation,
+  // type, data_epoch, and the store version, so every path that could change what an AD
+  // translates to forces the authoritative slow path. The pointer is the store's: it stays
+  // valid until Replace or Forget drops the program, and both move the store version.
+  Result<const Program*> FetchProgram(const AccessDescriptor& ad);
 
   // Computes and stores the IPC effect summary for a freshly-registered program, seeding
   // resolution from the loader's concrete knowledge of the initial argument. Also computes
@@ -445,7 +441,6 @@ class Kernel {
   uint32_t demote_sro_bytes_ = 16 * 1024;
   std::map<ObjectIndex, analysis::LifetimeSummary> lifetime_summaries_;
   std::map<ObjectIndex, std::set<uint32_t>> demotable_sites_;  // segment -> demotable pcs
-  bool xlat_cache_enabled_ = false;
 
   // Observability bookkeeping (src/obs): open port waits keyed by process index and open
   // domain-call residences keyed by callee context index. Closed in MakeReady / DoReturn;

@@ -41,9 +41,6 @@ System::System(const SystemConfig& config)
   if (config.lifetime_audit) {
     kernel_->EnableLifetimeAuditor();
   }
-  if (config.xlat_cache) {
-    kernel_->EnableXlatCache();
-  }
   gc_ = std::make_unique<GarbageCollector>(kernel_.get());
   patrol_ = std::make_unique<ObjectPatrol>(kernel_.get());
   types_ = std::make_unique<TypeManagerFacility>(kernel_.get());

@@ -78,13 +78,6 @@ struct SystemConfig {
   bool lifetime_audit = false;
   uint32_t demote_sro_bytes = 16 * 1024;
 
-  // Per-processor AD-translation cache in the addressing-unit / program-fetch hot path
-  // (src/arch/xlat_cache.h). Entries are epoch-keyed: every hit revalidates the descriptor's
-  // liveness and generation (plus type, data_epoch and the ProgramStore version for
-  // instruction fetches). Host-side only: zero cycle charges, bit-identical virtual time with
-  // the cache on or off.
-  bool xlat_cache = false;
-
   // Cycle-attribution profiler (src/obs/profiler.h): bin every virtual cycle of every GDP
   // into a CycleBucket, plus a deterministic 1-in-N hot-site sample of interpreter dispatch.
   // Pure observer: zero cycle charges, bit-identical virtual time (and replay fingerprint)

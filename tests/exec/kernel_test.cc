@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/memory/basic_memory_manager.h"
 #include "src/memory/swapping_memory_manager.h"
 #include "src/os/patrol.h"
@@ -803,120 +805,108 @@ TEST_F(KernelTest, RunBoundedCountsInstructionsContinuedInline) {
 
 // An OsCall service hot-patches the running segment. The instruction after the call is
 // continued inline in the same event, and the frame refetches on the moved store version, so
-// it already runs the new code — with the translation cache on or off.
+// it already runs the new code.
 TEST(KernelStepFrameTest, SelfReplaceRunsTheNewCodeOnTheNextInlineInstruction) {
-  for (bool cache : {false, true}) {
-    SCOPED_TRACE(cache ? "cache on" : "cache off");
-    Machine machine(SmallConfig());
-    BasicMemoryManager memory(&machine);
-    Kernel kernel(&machine, &memory);
-    if (cache) kernel.EnableXlatCache();
-    ASSERT_TRUE(kernel.AddProcessors(1).ok());
-    constexpr uint32_t kPatchService = 1024;
-    auto marker = [](uint64_t value) {
-      Assembler a("self-replace");
-      a.OsCall(kPatchService).LoadImm(0, value).Halt();
-      return a.Build();
-    };
-    kernel.RegisterService(kPatchService, [&](ExecutionContext& env) -> Result<NativeResult> {
-      IMAX_RETURN_IF_FAULT(
-          kernel.programs().Replace(env.context().instruction_segment(), marker(2)));
-      return NativeResult{};
-    });
-    auto process = kernel.CreateProcess(marker(1), {});
-    ASSERT_TRUE(process.ok());
-    ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  Kernel kernel(&machine, &memory);
+  ASSERT_TRUE(kernel.AddProcessors(1).ok());
+  constexpr uint32_t kPatchService = 1024;
+  auto marker = [](uint64_t value) {
+    Assembler a("self-replace");
+    a.OsCall(kPatchService).LoadImm(0, value).Halt();
+    return a.Build();
+  };
+  kernel.RegisterService(kPatchService, [&](ExecutionContext& env) -> Result<NativeResult> {
+    IMAX_RETURN_IF_FAULT(
+        kernel.programs().Replace(env.context().instruction_segment(), marker(2)));
+    return NativeResult{};
+  });
+  auto process = kernel.CreateProcess(marker(1), {});
+  ASSERT_TRUE(process.ok());
+  ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
 
-    // Fetch-and-bind, then one step event: the call and one instruction continued inline.
-    EXPECT_EQ(kernel.RunBounded(3), 2u);
-    EXPECT_EQ(kernel.stats().instructions_executed, 2u);
-    ContextView ctx(&machine.addressing(), kernel.process_view(process.value()).context());
-    EXPECT_EQ(ctx.pc(), 2u);
-    EXPECT_EQ(ctx.reg(0), 2u);  // 1 would be the replaced program's LoadImm
-  }
+  // Fetch-and-bind, then one step event: the call and one instruction continued inline.
+  EXPECT_EQ(kernel.RunBounded(3), 2u);
+  EXPECT_EQ(kernel.stats().instructions_executed, 2u);
+  ContextView ctx(&machine.addressing(), kernel.process_view(process.value()).context());
+  EXPECT_EQ(ctx.pc(), 2u);
+  EXPECT_EQ(ctx.reg(0), 2u);  // 1 would be the replaced program's LoadImm
 }
 
 // A process holding its own process AD stores another segment into its current context's
 // instruction-segment slot. The instruction after the store is continued inline in the same
 // event, and the frame refetches through the changed slot, so it already runs the other
-// segment's code — with the translation cache on or off.
+// segment's code.
 TEST(KernelStepFrameTest, StoringTheSegmentSlotRunsTheNewCodeOnTheNextInlineInstruction) {
-  for (bool cache : {false, true}) {
-    SCOPED_TRACE(cache ? "cache on" : "cache off");
-    Machine machine(SmallConfig());
-    BasicMemoryManager memory(&machine);
-    Kernel kernel(&machine, &memory);
-    if (cache) kernel.EnableXlatCache();
-    ASSERT_TRUE(kernel.AddProcessors(1).ok());
-    auto marker = [](uint64_t value) {
-      Assembler a("segment-store");
-      a.MoveAd(1, kArgAdReg)                            // a1 = carrier
-          .LoadAd(2, 1, 0)                              // a2 = this process
-          .LoadAd(3, 2, ProcessLayout::kSlotContext)    // a3 = its current context
-          .LoadAd(4, 1, 1)                              // a4 = the other segment
-          .StoreAd(3, 4, ContextLayout::kSlotInstructionSegment)
-          .LoadImm(0, value)
-          .Halt();
-      return a.Build();
-    };
-    auto other = kernel.programs().Register(marker(2));
-    ASSERT_TRUE(other.ok());
-    auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
-                                       rights::kRead | rights::kWrite);
-    ASSERT_TRUE(carrier.ok());
-    ProcessOptions options;
-    options.initial_arg = carrier.value();
-    auto process = kernel.CreateProcess(marker(1), options);
-    ASSERT_TRUE(process.ok());
-    ASSERT_TRUE(machine.addressing().WriteAd(carrier.value(), 0, process.value()).ok());
-    ASSERT_TRUE(machine.addressing().WriteAd(carrier.value(), 1, other.value()).ok());
-    ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
-    ASSERT_EQ(kernel.RunBounded(1), 1u);  // the processor fetches and binds the process
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  Kernel kernel(&machine, &memory);
+  ASSERT_TRUE(kernel.AddProcessors(1).ok());
+  auto marker = [](uint64_t value) {
+    Assembler a("segment-store");
+    a.MoveAd(1, kArgAdReg)                            // a1 = carrier
+        .LoadAd(2, 1, 0)                              // a2 = this process
+        .LoadAd(3, 2, ProcessLayout::kSlotContext)    // a3 = its current context
+        .LoadAd(4, 1, 1)                              // a4 = the other segment
+        .StoreAd(3, 4, ContextLayout::kSlotInstructionSegment)
+        .LoadImm(0, value)
+        .Halt();
+    return a.Build();
+  };
+  auto other = kernel.programs().Register(marker(2));
+  ASSERT_TRUE(other.ok());
+  auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
+                                     rights::kRead | rights::kWrite);
+  ASSERT_TRUE(carrier.ok());
+  ProcessOptions options;
+  options.initial_arg = carrier.value();
+  auto process = kernel.CreateProcess(marker(1), options);
+  ASSERT_TRUE(process.ok());
+  ASSERT_TRUE(machine.addressing().WriteAd(carrier.value(), 0, process.value()).ok());
+  ASSERT_TRUE(machine.addressing().WriteAd(carrier.value(), 1, other.value()).ok());
+  ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
+  ASSERT_EQ(kernel.RunBounded(1), 1u);  // the processor fetches and binds the process
 
-    // One step event: the five instructions through the store and one continued after it.
-    EXPECT_EQ(kernel.RunBounded(6), 1u);
-    EXPECT_EQ(kernel.stats().instructions_executed, 6u);
-    ContextView ctx(&machine.addressing(), kernel.process_view(process.value()).context());
-    EXPECT_EQ(ctx.instruction_segment(), other.value());
-    EXPECT_EQ(ctx.pc(), 6u);
-    EXPECT_EQ(ctx.reg(0), 2u);  // 1 would be the first segment's LoadImm
-  }
+  // One step event: the five instructions through the store and one continued after it.
+  EXPECT_EQ(kernel.RunBounded(6), 1u);
+  EXPECT_EQ(kernel.stats().instructions_executed, 6u);
+  ContextView ctx(&machine.addressing(), kernel.process_view(process.value()).context());
+  EXPECT_EQ(ctx.instruction_segment(), other.value());
+  EXPECT_EQ(ctx.pc(), 6u);
+  EXPECT_EQ(ctx.reg(0), 2u);  // 1 would be the first segment's LoadImm
 }
 
 // An OsCall service destroys the running segment without the collector, so the store keeps
 // its program and its version. The frame sees the dead segment descriptor, and the next
 // instruction's fetch faults with kInvalidAccess, as a fetch through a dead AD does.
 TEST(KernelStepFrameTest, DestroyingTheRunningSegmentFaultsTheNextInlineInstruction) {
-  for (bool cache : {false, true}) {
-    SCOPED_TRACE(cache ? "cache on" : "cache off");
-    Machine machine(SmallConfig());
-    BasicMemoryManager memory(&machine);
-    Kernel kernel(&machine, &memory);
-    if (cache) kernel.EnableXlatCache();
-    ASSERT_TRUE(kernel.AddProcessors(1).ok());
-    constexpr uint32_t kDestroyService = 1025;
-    kernel.RegisterService(kDestroyService, [&](ExecutionContext& env) -> Result<NativeResult> {
-      IMAX_ASSIGN_OR_RETURN(
-          AccessDescriptor segment,
-          machine.table().MintAd(env.context().instruction_segment().index(), rights::kDelete));
-      IMAX_RETURN_IF_FAULT(memory.DestroyObject(segment));
-      return NativeResult{};
-    });
-    Assembler a("self-destroy");
-    a.OsCall(kDestroyService).LoadImm(0, 1).Halt();
-    auto process = kernel.CreateProcess(a.Build(), {});
-    ASSERT_TRUE(process.ok());
-    ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
-    const uint64_t version = kernel.programs().version();
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  Kernel kernel(&machine, &memory);
+  ASSERT_TRUE(kernel.AddProcessors(1).ok());
+  constexpr uint32_t kDestroyService = 1025;
+  kernel.RegisterService(kDestroyService, [&](ExecutionContext& env) -> Result<NativeResult> {
+    IMAX_ASSIGN_OR_RETURN(
+        AccessDescriptor segment,
+        machine.table().MintAd(env.context().instruction_segment().index(), rights::kDelete));
+    IMAX_RETURN_IF_FAULT(memory.DestroyObject(segment));
+    return NativeResult{};
+  });
+  Assembler a("self-destroy");
+  a.OsCall(kDestroyService).LoadImm(0, 1).Halt();
+  auto process = kernel.CreateProcess(a.Build(), {});
+  ASSERT_TRUE(process.ok());
+  ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
+  const uint64_t version = kernel.programs().version();
 
-    kernel.Run();
-    EXPECT_EQ(kernel.programs().version(), version);
-    EXPECT_EQ(kernel.stats().instructions_executed, 1u);
-    ProcessView view = kernel.process_view(process.value());
-    EXPECT_EQ(view.state(), ProcessState::kTerminated);
-    EXPECT_EQ(view.fault_code(), Fault::kInvalidAccess);
-    EXPECT_EQ(kernel.stats().faults_delivered, 1u);
-  }
+  kernel.Run();
+  EXPECT_EQ(kernel.programs().version(), version);
+  EXPECT_EQ(kernel.stats().instructions_executed, 1u);
+  ProcessView view = kernel.process_view(process.value());
+  EXPECT_EQ(view.state(), ProcessState::kTerminated);
+  EXPECT_EQ(view.fault_code(), Fault::kInvalidAccess);
+  EXPECT_EQ(kernel.stats().faults_delivered, 1u);
 }
 
 // A domain call and its return switch the process's context twice inside one event: the
@@ -1101,6 +1091,66 @@ TEST_F(KernelTest, ReturningToADestroyedCallerFaults) {
   EXPECT_EQ(View(process).state(), ProcessState::kTerminated);
   EXPECT_EQ(View(process).fault_code(), Fault::kInvalidAccess);
   EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+}
+
+// A process holding its own process AD stores a generic object into its dispatch-port slot
+// and then runs `tail`. Requeueing it at the end of its time slice or after a yield fails
+// with kTypeMismatch, which is raised on the process instead of aborting the host.
+AccessDescriptor SpawnWithBogusDispatchPort(Machine& machine, BasicMemoryManager& memory,
+                                            Kernel& kernel,
+                                            const std::function<void(Assembler&)>& tail,
+                                            ProcessOptions options = {}) {
+  auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
+                                     rights::kRead | rights::kWrite);
+  auto bogus = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 0,
+                                   rights::kRead | rights::kWrite);
+  EXPECT_TRUE(carrier.ok() && bogus.ok());
+  Assembler a("bogus-dispatch-port");
+  a.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)  // a2 = this process
+      .LoadAd(3, 1, 1)  // a3 = a generic object
+      .StoreAd(2, 3, ProcessLayout::kSlotDispatchPort);
+  tail(a);
+  options.initial_arg = carrier.value();
+  auto process = kernel.CreateProcess(a.Build(), options);
+  EXPECT_TRUE(process.ok());
+  EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 0, process.value()).ok());
+  EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 1, bogus.value()).ok());
+  EXPECT_TRUE(kernel.StartProcess(process.value()).ok());
+  return process.value();
+}
+
+TEST_F(KernelTest, SliceEndWithANonPortDispatchPortFaults) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor process =
+      SpawnWithBogusDispatchPort(machine_, memory_, kernel_, [](Assembler& a) {
+        auto loop = a.NewLabel();
+        a.Bind(loop).Compute(1000).Branch(loop);
+      });
+  kernel_.Run();
+  EXPECT_EQ(kernel_.stats().time_slice_ends, 1u);
+  EXPECT_EQ(View(process).state(), ProcessState::kTerminated);  // no fault port
+  EXPECT_EQ(View(process).fault_code(), Fault::kTypeMismatch);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+}
+
+TEST_F(KernelTest, YieldWithANonPortDispatchPortFaults) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto fault_port =
+      kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(fault_port.ok());
+  ProcessOptions options;
+  options.fault_port = fault_port.value();
+  AccessDescriptor process = SpawnWithBogusDispatchPort(
+      machine_, memory_, kernel_, [](Assembler& a) { a.OsCall(os_service::kYield).Halt(); },
+      options);
+  kernel_.Run();
+  EXPECT_EQ(View(process).state(), ProcessState::kFaulted);
+  EXPECT_EQ(View(process).fault_code(), Fault::kTypeMismatch);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  auto queued = kernel_.ports().Dequeue(fault_port.value());
+  ASSERT_TRUE(queued.ok());
+  EXPECT_TRUE(queued.value().SameObject(process));
 }
 
 TEST(KernelPinningTest, PatrolSweepsDuringATwoGdpLoopFindNothing) {

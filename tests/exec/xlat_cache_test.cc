@@ -1,13 +1,16 @@
 // The AD-translation cache (src/arch/xlat_cache.h) and its kernel integration: the
 // direct-mapped structure itself, the addressing-unit tier (every downstream check still
-// enforced), the program-fetch tier (a hot-patched segment is never served stale), and the
-// pure-observer contract (bit-identical virtual time with the cache on or off).
+// enforced), the program-fetch tier (a hot-patched segment is never served stale), one cache
+// shared by every processor, and the pure-observer contract (virtual time identical to the
+// uncached reference runs pinned below).
 
 #include "src/arch/xlat_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/arch/object_descriptor.h"
 #include "src/arch/rights.h"
@@ -39,11 +42,10 @@ TEST(XlatCacheTest, ProbeIsDirectMappedModuloEntries) {
 
 class XlatAddressingTest : public ::testing::Test {
  protected:
-  XlatAddressingTest() : machine_(SmallConfig()), memory_(&machine_) {
-    machine_.addressing().BindXlatCache(&cache_);
-  }
+  XlatAddressingTest() : machine_(SmallConfig()), memory_(&machine_) {}
 
-  ~XlatAddressingTest() override { machine_.addressing().BindXlatCache(nullptr); }
+  // The addressing unit's own cache, which every access below goes through.
+  XlatCache& cache() { return machine_.addressing().xlat(); }
 
   AccessDescriptor MakeObject(RightsMask rights = rights::kRead | rights::kWrite |
                                                   rights::kDelete) {
@@ -55,21 +57,20 @@ class XlatAddressingTest : public ::testing::Test {
 
   Machine machine_;
   BasicMemoryManager memory_;
-  XlatCache cache_;
 };
 
 TEST_F(XlatAddressingTest, RepeatedAccessHitsAfterTheFirstMiss) {
   AccessDescriptor ad = MakeObject();
   ASSERT_TRUE(machine_.addressing().WriteData(ad, 0, 8, 17).ok());
-  uint64_t misses = cache_.stats().misses;
+  uint64_t misses = cache().stats().misses;
   ASSERT_GT(misses, 0u);
   for (int i = 0; i < 10; ++i) {
     auto read = machine_.addressing().ReadData(ad, 0, 8);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read.value(), 17u);
   }
-  EXPECT_GT(cache_.stats().hits, 0u);
-  EXPECT_EQ(cache_.stats().misses, misses);  // no further authoritative resolves
+  EXPECT_GT(cache().stats().hits, 0u);
+  EXPECT_EQ(cache().stats().misses, misses);  // no further authoritative resolves
 }
 
 TEST_F(XlatAddressingTest, QuarantineIsStillEnforcedOnCacheHits) {
@@ -144,19 +145,19 @@ TEST_F(XlatConflictTest, AliasingObjectsEvictEachOtherAndStayCorrect) {
   ASSERT_TRUE(machine_.addressing().WriteData(a, 0, 8, 111).ok());
   ASSERT_TRUE(machine_.addressing().WriteData(b, 0, 8, 222).ok());
   // b's fill took the shared slot.
-  EXPECT_EQ(cache_.Probe(a.index()).index, b.index());
+  EXPECT_EQ(cache().Probe(a.index()).index, b.index());
 
-  uint64_t misses = cache_.stats().misses;
+  uint64_t misses = cache().stats().misses;
   auto read_a = machine_.addressing().ReadData(a, 0, 8);  // conflict miss: evicts b
   ASSERT_TRUE(read_a.ok());
   EXPECT_EQ(read_a.value(), 111u);
-  EXPECT_GT(cache_.stats().misses, misses);
-  EXPECT_EQ(cache_.Probe(b.index()).index, a.index());
+  EXPECT_GT(cache().stats().misses, misses);
+  EXPECT_EQ(cache().Probe(b.index()).index, a.index());
 
   auto read_b = machine_.addressing().ReadData(b, 0, 8);  // and back again
   ASSERT_TRUE(read_b.ok());
   EXPECT_EQ(read_b.value(), 222u);
-  EXPECT_EQ(cache_.Probe(a.index()).index, b.index());
+  EXPECT_EQ(cache().Probe(a.index()).index, b.index());
 }
 
 // --- Kernel integration ------------------------------------------------------------------
@@ -178,13 +179,12 @@ Assembler CounterLoop(const std::string& name, uint32_t iters, uint32_t step = 1
   return a;
 }
 
-SystemConfig CacheConfig(bool cache) {
+SystemConfig CounterConfig() {
   SystemConfig config;
   config.machine = SmallConfig();
   config.processors = 1;
   config.verify_on_load = true;  // summaries land at spawn, like the shipped configuration
   config.start_gc_daemon = false;
-  config.xlat_cache = cache;
   return config;
 }
 
@@ -229,16 +229,8 @@ RunOutcome RunCounterWorkload(System& system, uint32_t iters, bool in_slices = f
   return outcome;
 }
 
-TEST(XlatKernelTest, DisabledByDefaultAndStatsStayZero) {
-  System system(CacheConfig(false));
-  RunCounterWorkload(system, 50);
-  EXPECT_FALSE(system.kernel().xlat_cache_enabled());
-  XlatCacheStats stats = system.kernel().xlat_stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.program_hits + stats.program_misses, 0u);
-}
-
 TEST(XlatKernelTest, HotLoopPopulatesBothCacheTiers) {
-  System system(CacheConfig(true));
+  System system(CounterConfig());
   RunOutcome outcome = RunCounterWorkload(system, 200, /*in_slices=*/true);
   EXPECT_EQ(outcome.counter, 200u);
   XlatCacheStats stats = system.kernel().xlat_stats();
@@ -247,34 +239,102 @@ TEST(XlatKernelTest, HotLoopPopulatesBothCacheTiers) {
   EXPECT_GT(stats.program_misses, 0u);  // the compulsory fill
 }
 
+// The uncached reference: RunCounterWorkload(system, 300) with the translation cache off, as
+// measured at commit 365b855, the last one with an uncached mode. The cache charges no
+// cycles, so the cached run must match it exactly.
+constexpr Cycles kUncachedCounterNow = 14962;
+constexpr uint64_t kUncachedCounterInstructions = 1504;
+constexpr uint64_t kUncachedCounterValue = 300;
+
 TEST(XlatKernelTest, VirtualTimeAndResultsAreBitIdenticalOffAndOn) {
-  System off(CacheConfig(false));
-  System on(CacheConfig(true));
-  RunOutcome off_outcome = RunCounterWorkload(off, 300);
+  System on(CounterConfig());
   RunOutcome on_outcome = RunCounterWorkload(on, 300);
-  EXPECT_EQ(off_outcome.now, on_outcome.now);
-  EXPECT_EQ(off_outcome.instructions, on_outcome.instructions);
-  EXPECT_EQ(off_outcome.counter, on_outcome.counter);
+  EXPECT_EQ(on_outcome.now, kUncachedCounterNow);
+  EXPECT_EQ(on_outcome.instructions, kUncachedCounterInstructions);
+  EXPECT_EQ(on_outcome.counter, kUncachedCounterValue);
 }
 
-// The cache and the lifetime auditor are independent switches: either, both, or neither.
+// The lifetime auditor is a switch of its own, and the cache serves with it armed.
 TEST(XlatKernelTest, SystemConfigWiresCacheAndAuditor) {
-  System plain(CacheConfig(false));
-  EXPECT_FALSE(plain.kernel().xlat_cache_enabled());
+  System plain(CounterConfig());
   EXPECT_EQ(plain.kernel().lifetime_auditor(), nullptr);
 
-  System cached(CacheConfig(true));
-  EXPECT_TRUE(cached.kernel().xlat_cache_enabled());
-  EXPECT_EQ(cached.kernel().lifetime_auditor(), nullptr);
-
-  SystemConfig both = CacheConfig(true);
-  both.lifetime_audit = true;
-  System armed(both);
-  EXPECT_TRUE(armed.kernel().xlat_cache_enabled());
+  SystemConfig audited = CounterConfig();
+  audited.lifetime_audit = true;
+  System armed(audited);
   ASSERT_NE(armed.kernel().lifetime_auditor(), nullptr);
   RunOutcome outcome = RunCounterWorkload(armed, 50);
   EXPECT_EQ(outcome.counter, 50u);
   EXPECT_EQ(armed.kernel().stats().lifetime_violations, 0u);
+  EXPECT_GT(armed.kernel().xlat_stats().hits, 0u);
+}
+
+// A process on GDP 0 creates an object and sends it through a port. A process on GDP 1,
+// after a long compute, receives the object and reads it: both of its accesses hit the
+// translation the first process's step filled.
+TEST(XlatKernelTest, ProcessorsShareOneCache) {
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  Kernel kernel(&machine, &memory);
+  ASSERT_TRUE(kernel.AddProcessors(2).ok());
+  machine.trace().Enable();
+  auto port = kernel.ports().CreatePort(memory.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
+                                     rights::kRead | rights::kWrite);
+  ASSERT_TRUE(carrier.ok());
+  ASSERT_TRUE(machine.addressing().WriteAd(carrier.value(), 0, memory.global_heap()).ok());
+  ASSERT_TRUE(machine.addressing().WriteAd(carrier.value(), 1, port.value()).ok());
+
+  Assembler sender("xlat.sender");
+  sender.LoadAd(1, kArgAdReg, 0)  // a1 = the global heap
+      .LoadAd(2, kArgAdReg, 1)    // a2 = the port
+      .CreateObject(3, 1, 64)
+      .LoadImm(0, 42)
+      .StoreData(3, 0, 0, 8)
+      .Send(2, 3)
+      .Halt();
+  Assembler receiver("xlat.receiver");
+  receiver.Compute(50000)
+      .Receive(1, kArgAdReg)
+      .LoadData(0, 1, 0, 8)
+      .Compute(50000)
+      .Halt();
+  std::vector<AccessDescriptor> processes;
+  const std::pair<Assembler*, AccessDescriptor> spawns[] = {{&sender, carrier.value()},
+                                                             {&receiver, port.value()}};
+  for (const auto& [a, arg] : spawns) {
+    ProcessOptions options;
+    options.initial_arg = arg;
+    auto process = kernel.CreateProcess(a->Build(), options);
+    ASSERT_TRUE(process.ok());
+    ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
+    processes.push_back(process.value());
+  }
+
+  kernel.RunUntil(25000);  // the sender is done, the receiver is in its first compute
+  ASSERT_EQ(kernel.process_view(processes[0]).state(), ProcessState::kTerminated);
+  const XlatCacheStats before = kernel.xlat_stats();
+  kernel.RunUntil(75000);  // the receiver has received and read the object
+  const XlatCacheStats after = kernel.xlat_stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_GT(after.hits, before.hits);
+
+  kernel.Run();
+  EXPECT_EQ(kernel.process_view(processes[1]).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel.stats().faults_delivered, 0u);
+  // The two processes were first dispatched, and read the object, on different processors.
+  std::vector<uint32_t> cpus(2, kTraceNoProcessor);
+  for (const TraceEvent& event : machine.trace().Snapshot()) {
+    for (size_t i = 0; i < processes.size(); ++i) {
+      if (event.kind == TraceEventKind::kDispatch && event.process == processes[i].index() &&
+          cpus[i] == kTraceNoProcessor) {
+        cpus[i] = event.cpu;
+      }
+    }
+  }
+  EXPECT_EQ(cpus[0], 0u);
+  EXPECT_EQ(cpus[1], 1u);
 }
 
 // Hot-patches the running process's segment mid-loop with code that adds 10 per iteration
@@ -283,8 +343,8 @@ TEST(XlatKernelTest, SystemConfigWiresCacheAndAuditor) {
 // segment's data_epoch alone.
 constexpr uint32_t kPatchedIters = 1000;
 
-RunOutcome RunPatchedCounter(bool cache, uint64_t* program_hits_before_patch) {
-  System system(CacheConfig(cache));
+RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch) {
+  System system(CounterConfig());
   auto shared = system.memory().CreateObject(system.memory().global_heap(),
                                              SystemType::kGeneric, 64, 0,
                                              rights::kRead | rights::kWrite);
@@ -316,20 +376,24 @@ RunOutcome RunPatchedCounter(bool cache, uint64_t* program_hits_before_patch) {
   return outcome;
 }
 
+// The uncached reference: RunPatchedCounter with the translation cache off, as measured at
+// commit 365b855, the last one with an uncached mode.
+constexpr uint64_t kUncachedPatchedCounter = 6355;
+constexpr Cycles kUncachedPatchedNow = 48562;
+constexpr uint64_t kUncachedPatchedInstructions = 5004;
+
 TEST(XlatKernelTest, ReplacedSegmentRunsTheNewCodeWithTheCacheOn) {
-  uint64_t hits_off = 0;
   uint64_t hits_on = 0;
-  RunOutcome off = RunPatchedCounter(false, &hits_off);
-  RunOutcome on = RunPatchedCounter(true, &hits_on);
+  RunOutcome on = RunPatchedCounter(&hits_on);
   EXPECT_GT(hits_on, 0u);  // the old code was being served from the cache at the patch
 
   // Some iterations ran the old code and the rest the new: the counter is neither the
   // all-old nor the all-new total.
   EXPECT_GT(on.counter, kPatchedIters);
   EXPECT_LT(on.counter, 10 * kPatchedIters);
-  EXPECT_EQ(on.counter, off.counter);
-  EXPECT_EQ(on.now, off.now);
-  EXPECT_EQ(on.instructions, off.instructions);
+  EXPECT_EQ(on.counter, kUncachedPatchedCounter);
+  EXPECT_EQ(on.now, kUncachedPatchedNow);
+  EXPECT_EQ(on.instructions, kUncachedPatchedInstructions);
 }
 
 }  // namespace

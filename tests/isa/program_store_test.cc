@@ -180,7 +180,7 @@ TEST_F(ProgramStoreTest, FindReturnsTheRawProgramWithoutResolution) {
   ASSERT_NE(program, nullptr);
   EXPECT_EQ(program->name(), "fetch.find");
   // Find consults only the side table: a freed object is invisible to it (callers pair it
-  // with a Resolve, as Kernel::FetchProgramCached does).
+  // with a Resolve, as Kernel::FetchProgram does).
   ASSERT_TRUE(machine_.table().Free(ad.value().index()).ok());
   EXPECT_NE(store_.Find(ad.value().index()), nullptr);
 }

@@ -5,11 +5,9 @@
 // Usage:
 //   imax_trace [--workload quickstart|pipeline|churn] [--processors N] [--cycles N]
 //              [--trace-capacity N] [--out trace.json] [--metrics metrics.json] [--overhead]
-//              [--xlat-cache]
 //
-// --xlat-cache arms the epoch-keyed AD-translation cache. The run reports hit/miss counts
-// at exit. Composes with --inject: the campaign replay must stay bit-identical with the
-// cache in the hot path.
+// Every workload run and every --inject campaign reports the AD-translation cache's hit and
+// miss counts at exit.
 //
 // --overhead runs the selected workload twice — tracing enabled and disabled — and reports
 // the host wall-clock cost of instrumentation. The two runs must reach the same virtual
@@ -72,7 +70,6 @@ struct Options {
   bool overhead = false;
   bool race_sanitize = false;
   bool lifetime_demote = false;
-  bool xlat_cache = false;
   uint32_t inject_count = 0;  // > 0 selects campaign mode
   uint64_t seed = 432;
   Cycles inject_horizon = 2'000'000;
@@ -92,7 +89,7 @@ void Usage() {
                "usage: imax_trace [--workload quickstart|pipeline|churn] [--processors N]\n"
                "                  [--cycles N] [--trace-capacity N] [--out FILE]\n"
                "                  [--metrics FILE] [--overhead] [--race-sanitize]\n"
-               "                  [--lifetime-demote] [--xlat-cache]\n"
+               "                  [--lifetime-demote]\n"
                "                  [--inject N] [--seed S]\n"
                "                  [--inject-horizon CYCLES] [--inject-report FILE]\n"
                "                  [--inject-verify] [--power-cut-campaign N]\n"
@@ -316,7 +313,6 @@ std::unique_ptr<System> RunWorkload(const Options& options, bool trace) {
     config.lifetime_demote = true;
     config.lifetime_audit = true;
   }
-  config.xlat_cache = options.xlat_cache;
   config.profile = options.profile;
   config.span_trace = options.spans_armed();
   std::unique_ptr<System> system;
@@ -491,9 +487,6 @@ CampaignResult RunCampaign(const Options& options) {
     config.lifetime_demote = true;
     config.lifetime_audit = true;
   }
-  // Translation caching under fire: cache hits must not perturb virtual time across
-  // retirements and corruption.
-  config.xlat_cache = options.xlat_cache;
   // Profiling under fire: attribution and span tracing must leave the replay fingerprint
   // untouched (CI diffs the profiled campaign's fingerprint against the unprofiled one).
   config.profile = options.profile;
@@ -783,9 +776,7 @@ int RunInjectCampaign(const Options& options) {
     }
   }
 
-  if (options.xlat_cache) {
-    PrintXlatStats(result.system->kernel().xlat_stats());
-  }
+  PrintXlatStats(result.system->kernel().xlat_stats());
 
   // The acceptance bar: every injected fault ends in recovery or policy-driven
   // termination. A panic means a fault escaped both.
@@ -1025,8 +1016,6 @@ int main(int argc, char** argv) {
       options.power_cuts = static_cast<uint32_t>(std::strtoul(value(), nullptr, 10));
     } else if (arg == "--lifetime-demote") {
       options.lifetime_demote = true;
-    } else if (arg == "--xlat-cache") {
-      options.xlat_cache = true;
     } else if (arg == "--race-sanitize") {
       options.race_sanitize = true;
     } else if (arg == "--profile") {
@@ -1127,8 +1116,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (options.xlat_cache) {
-    PrintXlatStats(system->kernel().xlat_stats());
-  }
+  PrintXlatStats(system->kernel().xlat_stats());
   return 0;
 }
