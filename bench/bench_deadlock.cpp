@@ -63,7 +63,7 @@ void BM_EffectSummary(benchmark::State& state) {
   analysis::EffectOptions options = SyntheticOptions();
   uint64_t instructions = 0;
   for (auto _ : state) {
-    analysis::EffectSummary summary = analysis::EffectAnalyzer::Analyze(*program, options);
+    analysis::EffectSummary summary = analysis::AnalyzeProgram(*program, options).effects;
     benchmark::DoNotOptimize(summary);
     instructions += program->size();
   }
@@ -87,7 +87,7 @@ void BM_SystemAnalyzeRings(benchmark::State& state) {
       if (object != kCarrier) return AccessDescriptor();
       return AccessDescriptor(slot == 0 ? own : next, 1, rights::kAll);
     };
-    graph.AddProgram(1000 + i, analysis::EffectAnalyzer::Analyze(*BuildRingMember(i), options));
+    graph.AddProgram(1000 + i, analysis::AnalyzeProgram(*BuildRingMember(i), options).effects);
   }
   uint64_t analyzed = 0;
   for (auto _ : state) {
@@ -115,7 +115,7 @@ void BM_SystemAnalyzePipeline(benchmark::State& state) {
       if (object != kCarrier) return AccessDescriptor();
       return AccessDescriptor(slot == 0 ? own : next, 1, rights::kAll);
     };
-    graph.AddProgram(1000 + i, analysis::EffectAnalyzer::Analyze(*BuildRingMember(i), options));
+    graph.AddProgram(1000 + i, analysis::AnalyzeProgram(*BuildRingMember(i), options).effects);
   }
   graph.MarkExternalSender(kFirstPort);
   graph.MarkExternalReceiver(kFirstPort + count);

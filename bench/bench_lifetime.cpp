@@ -58,7 +58,7 @@ void BM_LifetimeSummary(benchmark::State& state) {
   analysis::EffectOptions options = SyntheticOptions(kContainerBase);
   uint64_t instructions = 0;
   for (auto _ : state) {
-    analysis::LifetimeSummary summary = analysis::LifetimeAnalyzer::Analyze(*program, options);
+    analysis::LifetimeSummary summary = analysis::AnalyzeProgram(*program, options).lifetime;
     benchmark::DoNotOptimize(summary);
     instructions += program->size();
   }
@@ -86,15 +86,17 @@ void BM_LifetimeCompose(benchmark::State& state) {
         .StoreAd(3, 4, 0)
         .Halt();
     ProgramRef program = producer.Build();
-    graph.AddProgram(key, analysis::EffectAnalyzer::Analyze(*program, options));
-    lifetimes[key] = analysis::LifetimeAnalyzer::Analyze(*program, options);
+    analysis::ProgramSummary summary = analysis::AnalyzeProgram(*program, options);
+    graph.AddProgram(key, std::move(summary.effects));
+    lifetimes[key] = std::move(summary.lifetime);
     ++key;
     if (i % 4 == 0) {
       Assembler reader("reader");
       reader.MoveAd(1, kArgAdReg).LoadAd(3, 1, 1).LoadAd(4, 3, 0).Halt();
       ProgramRef read_program = reader.Build();
-      graph.AddProgram(key, analysis::EffectAnalyzer::Analyze(*read_program, options));
-      lifetimes[key] = analysis::LifetimeAnalyzer::Analyze(*read_program, options);
+      analysis::ProgramSummary read = analysis::AnalyzeProgram(*read_program, options);
+      graph.AddProgram(key, std::move(read.effects));
+      lifetimes[key] = std::move(read.lifetime);
       ++key;
     }
   }

@@ -56,7 +56,7 @@ void BM_AccessSummary(benchmark::State& state) {
   };
   uint64_t instructions = 0;
   for (auto _ : state) {
-    analysis::EffectSummary summary = analysis::EffectAnalyzer::Analyze(*program, options);
+    analysis::EffectSummary summary = analysis::AnalyzeProgram(*program, options).effects;
     benchmark::DoNotOptimize(summary);
     instructions += program->size();
   }
@@ -91,7 +91,7 @@ analysis::SystemEffectGraph BuildPairGraph(uint32_t count, bool sync) {
       if (object != kCarrier) return AccessDescriptor();
       return AccessDescriptor(slot == 0 ? shared : port, 1, rights::kAll);
     };
-    graph.AddProgram(2000 + i, analysis::EffectAnalyzer::Analyze(*a.Build(), options));
+    graph.AddProgram(2000 + i, analysis::AnalyzeProgram(*a.Build(), options).effects);
   }
   return graph;
 }

@@ -8,14 +8,17 @@
 // kNative is special: a native step may return NativeResult::Action::kJump with an arbitrary
 // target computed at run time (the GC daemon's batch loop does exactly this), so a program
 // containing natives has statically unknowable edges. The CFG records that fact in
-// `has_native`; the verifier responds by treating every block as reachable and joining the
-// all-unknown state into each block entry, which keeps the analysis sound (it can only make
-// it more permissive).
+// `has_native`; the analyses respond by treating every block as reachable and joining the
+// all-unknown state into each block entry (ForwardFixpoint below), which keeps them sound
+// (it can only make them more permissive).
 
 #ifndef IMAX432_SRC_ANALYSIS_CFG_H_
 #define IMAX432_SRC_ANALYSIS_CFG_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <vector>
 
 #include "src/isa/program.h"
@@ -55,6 +58,59 @@ bool IsBlockTerminator(Opcode op);
 
 // True when the instruction names a branch target in `imm`.
 bool IsBranch(Opcode op);
+
+// The forward worklist fixpoint both per-program analyses run: the capability verifier
+// (verifier.h) and the AD-flow pass (effects.h). `State` is a lattice of finite height with
+// a monotone `bool Join(const State&)` that returns whether the state grew. Block 0 starts
+// from `entry`; when the program has natives, every block also starts from `havoc`, since a
+// native step may jump anywhere with any register file. `step(block, state)` applies one
+// block's instructions to `state` and returns true when a program-wide fact outside the
+// block states grew (the AD-flow pass's dirty set); every visited block then goes round
+// again, so loads that consult that fact see its new value. The lowest-numbered pending
+// block runs first, and blocks are numbered in program order. Returns each block's fixpoint
+// entry state; a block no path reaches stays empty.
+template <typename State, typename Step>
+std::vector<std::optional<State>> ForwardFixpoint(const ControlFlowGraph& cfg,
+                                                  const State& entry, const State& havoc,
+                                                  Step step) {
+  std::vector<std::optional<State>> in(cfg.size());
+  if (cfg.size() == 0) return in;
+  std::vector<bool> pending(cfg.size(), false);
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<uint32_t>> worklist;
+  auto enqueue = [&](uint32_t block) {
+    if (!pending[block]) {
+      pending[block] = true;
+      worklist.push(block);
+    }
+  };
+  auto seed = [&](uint32_t block, const State& state) {
+    if (!in[block]) {
+      in[block] = state;
+      enqueue(block);
+    } else if (in[block]->Join(state)) {
+      enqueue(block);
+    }
+  };
+
+  seed(0, entry);
+  if (cfg.has_native()) {
+    for (uint32_t block = 0; block < cfg.size(); ++block) seed(block, havoc);
+  }
+  while (!worklist.empty()) {
+    const uint32_t block = worklist.top();
+    worklist.pop();
+    pending[block] = false;
+    State state = *in[block];
+    const bool grew = step(block, state);
+    for (uint32_t successor : cfg.block(block).successors) seed(successor, state);
+    if (grew) {
+      for (uint32_t other = 0; other < cfg.size(); ++other) {
+        if (in[other]) enqueue(other);
+      }
+    }
+  }
+  return in;
+}
 
 }  // namespace analysis
 }  // namespace imax432

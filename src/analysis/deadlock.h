@@ -68,12 +68,9 @@ struct SystemAnalysisReport {
 // One report as text, one block per diagnostic ("" when the report is clean).
 std::string FormatReport(const SystemAnalysisReport& report);
 
-// How a summarized program generates traffic. A process runs autonomously and is an actor
-// in the wait-for graph; a domain entry executes only when some process calls into it, so
-// its effects count solely through composition into its callers.
-enum class ProgramKind : uint8_t { kProcess, kDomainEntry };
-
-// One registered summary plus how it runs.
+// One registered summary plus how it runs. A process runs autonomously and is an actor in
+// the wait-for graph; a domain entry executes only when some process calls into it, so its
+// effects count solely through composition into its callers.
 struct ProgramEntry {
   EffectSummary summary;
   ProgramKind kind = ProgramKind::kProcess;

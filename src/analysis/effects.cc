@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/cfg.h"
@@ -15,31 +17,30 @@ namespace imax432 {
 namespace analysis {
 namespace {
 
-// Kernel service ids modeled precisely. Kept in sync with src/exec/kernel.h; duplicated here
-// so the analysis layer does not depend on the execution layer.
-constexpr uint32_t kOsYield = 1;
-constexpr uint32_t kOsGetTime = 2;
-constexpr uint32_t kOsSetPriority = 3;
-constexpr uint32_t kOsSetDeadline = 4;
-constexpr uint32_t kOsTimedReceive = 5;
-
 // Widening bound on the concrete-object set per register; beyond this the value goes to top.
 constexpr size_t kMaxAdSet = 8;
+// Bound on tracked abstract heap cells per state; past it anomaly claims are voided.
+constexpr size_t kMaxCells = 32;
 
-// Abstract AD register value: the set of concrete objects the register may name.
-// Empty and not top = the register is definitely null (or holds only fresh objects that
-// cannot be any pre-existing port). Top = any object.
-struct AbstractAd {
+// Abstract AD value: the pre-existing objects the register may name (top = any of them)
+// plus the allocation sites it may name. No objects, no sites and not top = definitely null.
+// The site component stays exact even under top: sites enter a value only at their
+// create_object and flow only through moves, so a value widened to top cannot silently
+// carry a site — any site reachable through an untracked path (a load from a dirtied
+// container, a receive, a call return) was already marked escaped when it entered that
+// path. That invariant is what makes per-site facts sound.
+struct AbsVal {
   bool top = false;
-  std::vector<ObjectIndex> objs;  // sorted, deduped, size <= kMaxAdSet
+  std::vector<ObjectIndex> objs;   // sorted, deduped, size <= kMaxAdSet
+  std::vector<uint16_t> sites;     // sorted, deduped
 
-  static AbstractAd Top() {
-    AbstractAd v;
+  static AbsVal Top() {
+    AbsVal v;
     v.top = true;
     return v;
   }
 
-  void Add(ObjectIndex index) {
+  void AddObj(ObjectIndex index) {
     if (top || index == kInvalidObjectIndex) return;
     auto it = std::lower_bound(objs.begin(), objs.end(), index);
     if (it != objs.end() && *it == index) return;
@@ -50,18 +51,38 @@ struct AbstractAd {
     }
   }
 
-  // Least upper bound; returns true when this value changed.
-  bool Join(const AbstractAd& other) {
-    if (top) return false;
-    if (other.top) {
-      top = true;
-      objs.clear();
-      return true;
-    }
-    const size_t before = objs.size();
-    for (ObjectIndex index : other.objs) Add(index);
-    return top || objs.size() != before;
+  void AddSite(uint16_t site) {
+    auto it = std::lower_bound(sites.begin(), sites.end(), site);
+    if (it == sites.end() || *it != site) sites.insert(it, site);
   }
+
+  bool HasSite(uint16_t site) const {
+    return std::binary_search(sites.begin(), sites.end(), site);
+  }
+
+  // Least upper bound; returns true when this value changed.
+  bool Join(const AbsVal& other) {
+    bool changed = false;
+    if (!top) {
+      if (other.top) {
+        top = true;
+        objs.clear();
+        changed = true;
+      } else {
+        const size_t before = objs.size();
+        for (ObjectIndex index : other.objs) AddObj(index);
+        changed |= top || objs.size() != before;
+      }
+    }
+    const size_t sites_before = sites.size();
+    for (uint16_t site : other.sites) AddSite(site);
+    changed |= sites.size() != sites_before;
+    return changed;
+  }
+
+  bool DefinitelyNull() const { return !top && objs.empty() && sites.empty(); }
+  // True when the value names exactly one pre-existing object.
+  bool UniqueObj() const { return !top && objs.size() == 1; }
 };
 
 // Must-have-sent set: ports provably sent to on every path reaching the current point.
@@ -91,20 +112,33 @@ struct MustSent {
     ports = std::move(kept);
     return changed;
   }
+
+  std::vector<ObjectIndex> Facts() const { return top ? std::vector<ObjectIndex>{} : ports; }
 };
 
+// One tracked access slot of a pre-existing object.
+using Cell = std::pair<ObjectIndex, uint32_t>;  // (container, slot)
+
 struct AbstractState {
-  AbstractAd regs[kNumAdRegs];
+  AbsVal regs[kNumAdRegs];
+  // Ports a blocking send (resp. receive) has provably completed to (from) on every path.
+  // Feed PortUse::sends_before and PortUse/ObjectAccess::recvs_before.
   MustSent sent;
-  // Ports a blocking receive has provably completed from on every path (same intersection
-  // lattice as `sent`). Feeds PortUse/ObjectAccess::recvs_before.
   MustSent received;
+  // What each stored-to cell may currently hold. Absent = still the boot-time value, which
+  // names no site. Weak updates (ambiguous container) join; strong updates (unique
+  // container, constant slot) replace — the replacement point is where anomalies surface.
+  std::map<Cell, AbsVal> cells;
 
   bool Join(const AbstractState& other) {
     bool changed = false;
     for (uint8_t r = 0; r < kNumAdRegs; ++r) changed |= regs[r].Join(other.regs[r]);
     changed |= sent.Join(other.sent);
     changed |= received.Join(other.received);
+    for (const auto& [cell, val] : other.cells) {
+      auto [it, inserted] = cells.emplace(cell, val);
+      changed |= inserted || it->second.Join(val);
+    }
     return changed;
   }
 };
@@ -113,55 +147,94 @@ struct Analyzer {
   const Program& program;
   const EffectOptions& options;
   const ControlFlowGraph cfg;
-  EffectSummary summary;
+  EffectSummary effects;
+  LifetimeSummary lifetime;
+
+  std::map<uint32_t, uint16_t> site_of_pc;  // create_object pc -> site index
 
   // Objects whose access parts this program may overwrite: a load_ad chain through a dirty
   // object must not trust the slot reader's (boot-time) view. Monotone across the fixpoint.
   std::set<ObjectIndex> dirty;
   bool dirty_all = false;
 
+  std::set<std::pair<uint16_t, uint32_t>> reported_anomalies;  // (site, overwrite_pc)
+
   Analyzer(const Program& p, const EffectOptions& o)
-      : program(p), options(o), cfg(ControlFlowGraph::Build(p)) {}
+      : program(p), options(o), cfg(ControlFlowGraph::Build(p)) {
+    effects.program_name = lifetime.program_name = program.name();
+    // Site identities must be stable across the fixpoint: one pre-pass assigns them.
+    for (uint32_t pc = 0; pc < program.size(); ++pc) {
+      const Instruction& in = program.at(pc);
+      if (in.op != Opcode::kCreateObject) continue;
+      AllocationSite site;
+      site.pc = pc;
+      site.data_bytes = in.imm;
+      site.access_slots = in.c;
+      site.disasm = SiteDisasm(pc);
+      site_of_pc.emplace(pc, static_cast<uint16_t>(lifetime.sites.size()));
+      lifetime.sites.push_back(std::move(site));
+    }
+  }
+
+  // "pc  disassembly" for diagnostics, naming `port` when one resolved.
+  std::string SiteDisasm(uint32_t pc, ObjectIndex port = kInvalidObjectIndex) const {
+    char prefix[16];
+    std::snprintf(prefix, sizeof(prefix), "%04u  ", pc);
+    return prefix + DisassembleInstruction(program.at(pc), port, options.symbols);
+  }
 
   AbstractState EntryState() const {
     AbstractState state;
     state.sent.top = false;      // entry: nothing sent yet
     state.received.top = false;  // entry: nothing received yet
     if (!options.initial_arg.is_null()) {
-      state.regs[kArgAdReg].Add(options.initial_arg.index());
+      state.regs[kArgAdReg].AddObj(options.initial_arg.index());
     } else {
-      state.regs[kArgAdReg] = AbstractAd::Top();
+      state.regs[kArgAdReg] = AbsVal::Top();
+    }
+    if (options.kind == ProgramKind::kDomainEntry) {
+      // The call amplified a6 to the callee's own domain, which one segment cannot name.
+      state.regs[kDomainAdReg] = AbsVal::Top();
     }
     return state;
   }
 
-  AccessDescriptor ReadSlot(ObjectIndex container, uint32_t slot) const {
-    if (!options.slot_reader) return {};
-    return options.slot_reader(container, slot);
+  // The state a native jump can land in: unknown registers, no guaranteed sends or receives.
+  static AbstractState HavocState() {
+    AbstractState state;
+    HavocRegs(state);
+    state.sent.top = false;
+    state.received.top = false;
+    return state;
+  }
+
+  static void HavocRegs(AbstractState& state) {
+    for (uint8_t r = 0; r < kNumAdRegs; ++r) state.regs[r] = AbsVal::Top();
   }
 
   bool IsDirty(ObjectIndex container) const {
     return dirty_all || dirty.count(container) != 0;
   }
 
-  // Resolves `load_ad dst, container[slot]` into dst. Returns false when the result had to
-  // go to top (unknown container or stale snapshot).
-  AbstractAd LoadSlot(const AbstractAd& container, uint32_t slot) const {
-    if (container.top || !options.slot_reader) {
-      // Unknown container: loading through it yields anything. A definitely-null container
-      // faults at run time, so the empty result below is never observed.
-      return container.top || !container.objs.empty() ? AbstractAd::Top() : AbstractAd();
+  // Resolves `load_ad dst, container[slot]`. A container that may be a fresh object yields
+  // any object: it holds whatever the program stored into it, which no snapshot shows. A
+  // definitely-null container faults at run time, so its empty result is never observed.
+  // Loaded values carry no sites: a site can only be loaded back out of a container it was
+  // stored into, and that container is either a site or dirtied by the store (see AbsVal).
+  AbsVal LoadSlot(const AbsVal& container, uint32_t slot) const {
+    if (container.top || !container.sites.empty() || !options.slot_reader) {
+      return container.DefinitelyNull() ? AbsVal() : AbsVal::Top();
     }
-    AbstractAd out;
+    AbsVal out;
     for (ObjectIndex obj : container.objs) {
-      if (IsDirty(obj)) return AbstractAd::Top();
-      const AccessDescriptor slot_ad = ReadSlot(obj, slot);
-      if (!slot_ad.is_null()) out.Add(slot_ad.index());
+      if (IsDirty(obj)) return AbsVal::Top();
+      const AccessDescriptor slot_ad = options.slot_reader(obj, slot);
+      if (!slot_ad.is_null()) out.AddObj(slot_ad.index());
     }
     return out;
   }
 
-  void MarkStoreInto(const AbstractAd& container) {
+  void MarkStoreInto(const AbsVal& container) {
     if (container.top) {
       dirty_all = true;
       return;
@@ -169,161 +242,166 @@ struct Analyzer {
     for (ObjectIndex obj : container.objs) dirty.insert(obj);
   }
 
-  void HavocRegs(AbstractState& state) {
-    for (uint8_t r = 0; r < kNumAdRegs; ++r) state.regs[r] = AbstractAd::Top();
+  // Native code or an unknown service: may move any AD anywhere, talk to any port, rewrite
+  // any tracked cell and jump anywhere.
+  void Opaque(AbstractState& state) {
+    effects.has_native = true;
+    lifetime.opaque = true;
+    HavocRegs(state);
+    dirty_all = true;
+    for (auto& [cell, val] : state.cells) val = AbsVal::Top();
   }
 
-  // Applies one instruction to `state`. When `record` is non-null (the reporting pass),
-  // send/receive/call sites are appended to it.
-  void Transfer(uint32_t pc, AbstractState& state, EffectSummary* record) {
+  // Applies one block's instructions to `state`. Lifetime escape facts are recorded on every
+  // pass (they are monotone and deduplicated); effect sites and retention anomalies only in
+  // the reporting pass, against the fixpoint states.
+  void ApplyBlock(uint32_t block, AbstractState& state, bool report) {
+    const BasicBlock& bb = cfg.block(block);
+    for (uint32_t pc = bb.begin; pc < bb.end; ++pc) Transfer(pc, state, report);
+  }
+
+  void Transfer(uint32_t pc, AbstractState& state, bool report) {
     const Instruction& in = program.at(pc);
     switch (in.op) {
       case Opcode::kMoveAd:
         state.regs[in.a] = state.regs[in.b];
         break;
       case Opcode::kClearAd:
-        state.regs[in.a] = AbstractAd();
+        state.regs[in.a] = AbsVal();
         break;
       case Opcode::kLoadData:
       case Opcode::kLoadDataIndexed:
-        RecordAccess(pc, AccessKind::kRead, ObjectPart::kData, state.regs[in.b], state,
-                     record);
+        RecordAccess(pc, AccessKind::kRead, ObjectPart::kData, state.regs[in.b], state, report);
         break;
       case Opcode::kStoreData:
       case Opcode::kStoreDataIndexed:
         RecordAccess(pc, AccessKind::kWrite, ObjectPart::kData, state.regs[in.a], state,
-                     record);
+                     report);
         break;
       case Opcode::kLoadAd:
         RecordAccess(pc, AccessKind::kRead, ObjectPart::kAccess, state.regs[in.b], state,
-                     record);
+                     report);
         state.regs[in.a] = LoadSlot(state.regs[in.b], in.imm);
         break;
       case Opcode::kLoadAdIndexed:
-        // Run-time slot index: any slot of the container could be loaded. Conservative top
-        // whenever the container may hold anything at all.
+        // Run-time slot index: any slot of the container could be loaded.
         RecordAccess(pc, AccessKind::kRead, ObjectPart::kAccess, state.regs[in.b], state,
-                     record);
-        state.regs[in.a] =
-            (state.regs[in.b].top || !state.regs[in.b].objs.empty()) ? AbstractAd::Top()
-                                                                     : AbstractAd();
+                     report);
+        state.regs[in.a] = state.regs[in.b].DefinitelyNull() ? AbsVal() : AbsVal::Top();
         break;
       case Opcode::kStoreAd:
-      case Opcode::kStoreAdIndexed:
-        RecordAccess(pc, AccessKind::kWrite, ObjectPart::kAccess, state.regs[in.a], state,
-                     record);
-        MarkStoreInto(state.regs[in.a]);
+      case Opcode::kStoreAdIndexed: {
+        const uint32_t slot = in.op == Opcode::kStoreAd ? in.imm : kUnknownSlot;
+        const AbsVal& container = state.regs[in.a];
+        const AbsVal& value = state.regs[in.b];
+        RecordAccess(pc, AccessKind::kWrite, ObjectPart::kAccess, container, state, report);
+        NoteStoreFacts(container, slot, value, pc);
+        StoreCells(pc, state, container, slot, value, report);
+        MarkStoreInto(container);
         break;
+      }
       case Opcode::kRestrictRights:
       case Opcode::kAdIsNull:
         break;  // object identity unchanged / data result only
-      case Opcode::kCreateObject:
-      case Opcode::kCreateSro:
-        // A fresh object is never a pre-existing port; model as definitely-not-a-port.
+      case Opcode::kCreateObject: {
         // Allocation itself mutates only manager metadata, which the kernel serializes, so
         // no access is recorded for the source SRO.
-        state.regs[in.a] = AbstractAd();
+        AbsVal fresh;
+        fresh.AddSite(site_of_pc.at(pc));
+        state.regs[in.a] = std::move(fresh);
+        break;
+      }
+      case Opcode::kCreateSro:
+        state.regs[in.a] = AbsVal();  // fresh SRO: never a port, not a tracked site
         break;
       case Opcode::kDestroyObject:
       case Opcode::kDestroySro:
         // Destruction invalidates both halves of the object for every other holder.
         RecordAccess(pc, AccessKind::kWrite, ObjectPart::kData, state.regs[in.a], state,
-                     record);
+                     report);
         RecordAccess(pc, AccessKind::kWrite, ObjectPart::kAccess, state.regs[in.a], state,
-                     record);
+                     report);
+        if (in.op == Opcode::kDestroyObject) {
+          for (uint16_t site : state.regs[in.a].sites) lifetime.sites[site].destroyed = true;
+        }
         break;
       case Opcode::kSend:
-        RecordUse(pc, PortOp::kSend, state.regs[in.a], /*blocking=*/true, state, record);
-        NoteMustSend(state, state.regs[in.a]);
+      case Opcode::kCondSend: {
+        const bool blocking = in.op == Opcode::kSend;
+        RecordUse(pc, PortOp::kSend, state.regs[in.a], blocking, state, report);
+        // Only a provably-unique target is a guaranteed send.
+        if (blocking && state.regs[in.a].UniqueObj()) state.sent.Add(state.regs[in.a].objs[0]);
+        for (uint16_t site : state.regs[in.b].sites) lifetime.sites[site].sent = true;
+        if (state.regs[in.b].top) lifetime.sent_unknown = true;
         break;
-      case Opcode::kCondSend:
-        RecordUse(pc, PortOp::kSend, state.regs[in.a], /*blocking=*/false, state, record);
-        break;
+      }
       case Opcode::kReceive:
-        RecordUse(pc, PortOp::kReceive, state.regs[in.b], /*blocking=*/true, state, record);
-        NoteMustReceive(state, state.regs[in.b]);
-        state.regs[in.a] = AbstractAd::Top();
+      case Opcode::kCondReceive: {
+        const bool blocking = in.op == Opcode::kReceive;
+        RecordUse(pc, PortOp::kReceive, state.regs[in.b], blocking, state, report);
+        // Completing a blocking receive from a provably-unique port is a guaranteed join
+        // with whoever sent there. Guarded variants complete without a message.
+        if (blocking && state.regs[in.b].UniqueObj()) {
+          state.received.Add(state.regs[in.b].objs[0]);
+        }
+        state.regs[in.a] = AbsVal::Top();
         break;
-      case Opcode::kCondReceive:
-        RecordUse(pc, PortOp::kReceive, state.regs[in.b], /*blocking=*/false, state, record);
-        state.regs[in.a] = AbstractAd::Top();
-        break;
+      }
       case Opcode::kCall:
-        RecordCall(pc, state.regs[in.a], in.imm, record);
-        state.regs[kArgAdReg] = AbstractAd::Top();  // callee return value
-        break;
       case Opcode::kCallLocal:
-        RecordCall(pc, state.regs[kDomainAdReg], in.imm, record);
-        state.regs[kArgAdReg] = AbstractAd::Top();
+        RecordCall(pc, state.regs[in.op == Opcode::kCall ? in.a : kDomainAdReg], in.imm,
+                   report);
+        for (uint16_t site : state.regs[kArgAdReg].sites) {
+          lifetime.sites[site].passed_to_call = true;
+        }
+        state.regs[kArgAdReg] = AbsVal::Top();  // callee return value
+        break;
+      case Opcode::kReturn:
+        for (uint16_t site : state.regs[kArgAdReg].sites) lifetime.sites[site].returned = true;
         break;
       case Opcode::kOsCall:
-        TransferOsCall(pc, in.imm, state, record);
+        switch (in.imm) {
+          case os_service::kYield:
+          case os_service::kGetTime:
+          case os_service::kSetPriority:
+          case os_service::kSetDeadline:
+            break;  // data-only services, no AD effect
+          case os_service::kTimedReceive:
+            // Receives into a7 from the port in a7. Blocking up to the timeout: for deadlock
+            // purposes a bounded wait is a guarded wait, so not blocking.
+            RecordUse(pc, PortOp::kReceive, state.regs[kArgAdReg], /*blocking=*/false, state,
+                      report);
+            state.regs[kArgAdReg] = AbsVal::Top();
+            break;
+          default:
+            Opaque(state);  // unknown / package service
+            break;
+        }
         break;
       case Opcode::kNative:
-        // Opaque C++: may move any AD anywhere and jump anywhere.
-        summary.has_native = true;
-        HavocRegs(state);
-        dirty_all = true;
+        Opaque(state);
         break;
       default:
-        break;  // data / branch / return / halt: no AD effect
+        break;  // data / branch / halt: no AD effect
     }
   }
 
-  void TransferOsCall(uint32_t pc, uint32_t service, AbstractState& state,
-                      EffectSummary* record) {
-    switch (service) {
-      case kOsYield:
-      case kOsGetTime:
-      case kOsSetPriority:
-      case kOsSetDeadline:
-        return;  // data-only services, no AD effect
-      case kOsTimedReceive:
-        // Receives into a7 from the port in a7 (see kernel.h). Blocking up to the timeout:
-        // for deadlock purposes a bounded wait is a guarded wait, so not blocking.
-        RecordUse(pc, PortOp::kReceive, state.regs[kArgAdReg], /*blocking=*/false, state,
-                  record);
-        state.regs[kArgAdReg] = AbstractAd::Top();
-        return;
-      default:
-        // Unknown / package service: opaque like a native step.
-        summary.has_native = true;
-        HavocRegs(state);
-        dirty_all = true;
-        return;
-    }
-  }
+  // --- Effect sites (reporting pass only) ---
 
-  void NoteMustSend(AbstractState& state, const AbstractAd& port) {
-    // Only a provably-unique target is a guaranteed send.
-    if (!port.top && port.objs.size() == 1) state.sent.Add(port.objs[0]);
-  }
-
-  void NoteMustReceive(AbstractState& state, const AbstractAd& port) {
-    // Completing a blocking receive from a provably-unique port is a guaranteed join with
-    // whoever sent there. Guarded variants (cond/timed receive) complete without a message
-    // and never register here.
-    if (!port.top && port.objs.size() == 1) state.received.Add(port.objs[0]);
-  }
-
-  void RecordAccess(uint32_t pc, AccessKind kind, ObjectPart part, const AbstractAd& object,
-                    const AbstractState& state, EffectSummary* record) {
-    if (record == nullptr) return;
+  void RecordAccess(uint32_t pc, AccessKind kind, ObjectPart part, const AbsVal& object,
+                    const AbstractState& state, bool report) {
+    if (!report) return;
     if (object.top) {
       // The site may touch any object at all; the race analysis counts this program's
       // unresolved sites but never reports them.
-      record->has_unresolved_access = true;
+      effects.has_unresolved_access = true;
       return;
     }
-    // Empty set: a definitely-null register (faults, touches nothing) or a fresh object no
-    // other pre-existing summary can name. Either way there is no shared object to report.
+    // Null registers fault and touch nothing; fresh objects are not yet shared with any
+    // other summary. Only pre-existing objects are reported.
     if (object.objs.empty()) return;
-    const std::vector<ObjectIndex> recvs_before =
-        state.received.top ? std::vector<ObjectIndex>{} : state.received.ports;
-    char prefix[16];
-    std::snprintf(prefix, sizeof(prefix), "%04u  ", pc);
-    const std::string disasm =
-        prefix + DisassembleInstruction(program.at(pc), kInvalidObjectIndex, options.symbols);
+    const std::vector<ObjectIndex> recvs_before = state.received.Facts();
+    const std::string disasm = SiteDisasm(pc);
     for (ObjectIndex obj : object.objs) {
       ObjectAccess access;
       access.kind = kind;
@@ -332,19 +410,15 @@ struct Analyzer {
       access.object = obj;
       access.recvs_before = recvs_before;
       access.disasm = disasm;
-      record->accesses.push_back(std::move(access));
+      effects.accesses.push_back(std::move(access));
     }
   }
 
-  void RecordUse(uint32_t pc, PortOp op, const AbstractAd& port, bool blocking,
-                 const AbstractState& state, EffectSummary* record) {
-    if (record == nullptr) return;
-    const std::vector<ObjectIndex> sends_before = state.sent.top
-                                                      ? std::vector<ObjectIndex>{}
-                                                      : state.sent.ports;
-    const std::vector<ObjectIndex> recvs_before = state.received.top
-                                                      ? std::vector<ObjectIndex>{}
-                                                      : state.received.ports;
+  void RecordUse(uint32_t pc, PortOp op, const AbsVal& port, bool blocking,
+                 const AbstractState& state, bool report) {
+    if (!report) return;
+    const std::vector<ObjectIndex> sends_before = state.sent.Facts();
+    const std::vector<ObjectIndex> recvs_before = state.received.Facts();
     auto emit = [&](ObjectIndex resolved) {
       PortUse use;
       use.op = op;
@@ -353,44 +427,161 @@ struct Analyzer {
       use.blocking = blocking;
       use.sends_before = sends_before;
       use.recvs_before = recvs_before;
-      char prefix[16];
-      std::snprintf(prefix, sizeof(prefix), "%04u  ", pc);
-      use.disasm = prefix + DisassembleInstruction(program.at(pc), resolved, options.symbols);
-      record->uses.push_back(std::move(use));
+      use.disasm = SiteDisasm(pc, resolved);
+      effects.uses.push_back(std::move(use));
     };
     if (port.top) {
       emit(kUnresolvedPort);
-      if (op == PortOp::kSend) record->has_unresolved_send = true;
-      if (op == PortOp::kReceive) record->has_unresolved_receive = true;
+      if (op == PortOp::kSend) effects.has_unresolved_send = true;
+      if (op == PortOp::kReceive) effects.has_unresolved_receive = true;
       return;
     }
-    // Definitely-null port registers fault at run time and communicate with nothing; the
-    // verifier reports those, so no use is recorded here.
+    // Null port registers fault at run time and communicate with nothing (the verifier
+    // reports those), and a fresh object is never a port: no use is recorded for either.
     for (ObjectIndex obj : port.objs) emit(obj);
   }
 
-  void RecordCall(uint32_t pc, const AbstractAd& domain, uint32_t entry,
-                  EffectSummary* record) {
-    if (record == nullptr) return;
+  void RecordCall(uint32_t pc, const AbsVal& domain, uint32_t entry, bool report) {
+    if (!report) return;
     auto emit = [&](ObjectIndex callee) {
       DomainCall call;
       call.pc = pc;
       call.entry = entry;
       call.callee_segment = callee;
-      record->calls.push_back(call);
+      effects.calls.push_back(call);
     };
     if (domain.top || domain.objs.empty() || !options.slot_reader) {
       emit(kInvalidObjectIndex);
       return;
     }
-    bool emitted = false;
     for (ObjectIndex obj : domain.objs) {
       // Domain entries are the leading access slots of the domain object.
-      const AccessDescriptor segment = IsDirty(obj) ? AccessDescriptor() : ReadSlot(obj, entry);
+      const AccessDescriptor segment =
+          IsDirty(obj) ? AccessDescriptor() : options.slot_reader(obj, entry);
       emit(segment.is_null() ? kInvalidObjectIndex : segment.index());
-      emitted = true;
     }
-    if (!emitted) emit(kInvalidObjectIndex);
+  }
+
+  // --- Lifetime facts ---
+
+  void NoteHeapStore(uint16_t site, ObjectIndex container, uint32_t slot, uint32_t pc) {
+    auto& stores = lifetime.sites[site].heap_stores;
+    for (const HeapStore& s : stores) {
+      if (s.container == container && s.slot == slot && s.pc == pc) return;
+    }
+    stores.push_back(HeapStore{container, slot, pc});
+  }
+
+  void NoteSiteStore(uint16_t site, uint16_t target) {
+    auto& targets = lifetime.sites[site].stored_into_sites;
+    if (std::find(targets.begin(), targets.end(), target) == targets.end()) {
+      targets.push_back(target);
+    }
+  }
+
+  // Records the escape facts of storing `value` into `container` at `pc` (slot may be
+  // kUnknownSlot for indexed stores).
+  void NoteStoreFacts(const AbsVal& container, uint32_t slot, const AbsVal& value,
+                      uint32_t pc) {
+    if (value.top) lifetime.stored_top = true;
+    for (uint16_t site : value.sites) {
+      if (container.top) lifetime.sites[site].unresolved = true;
+      for (ObjectIndex obj : container.objs) NoteHeapStore(site, obj, slot, pc);
+      for (uint16_t target : container.sites) NoteSiteStore(site, target);
+    }
+  }
+
+  // True when the site's facts allow a sole-referent claim anchored at one cell: its only
+  // escapes are heap stores, and all of them target exactly (container, slot).
+  bool SoleCellSite(uint16_t index, ObjectIndex container, uint32_t slot) const {
+    const AllocationSite& site = lifetime.sites[index];
+    if (site.sent || site.passed_to_call || site.returned || site.destroyed ||
+        site.unresolved || !site.stored_into_sites.empty() || site.heap_stores.empty()) {
+      return false;
+    }
+    for (const HeapStore& s : site.heap_stores) {
+      if (s.container != container || s.slot != slot) return false;
+    }
+    return true;
+  }
+
+  // Strong update of (container, slot): the old value dies. Any site the old value named
+  // that the new one does not, that no register or other tracked cell still names, and
+  // whose every escape was a store into exactly this cell, has just lost its last AD.
+  void CheckOverwrite(uint32_t pc, const AbstractState& state, const Cell& cell,
+                      const AbsVal& old_value, const AbsVal& new_value, bool report) {
+    if (!report || old_value.sites.empty()) return;
+    // Unresolved machinery anywhere voids the flow-sensitive argument: a top value or an
+    // overflowed cell set could be hiding the AD.
+    if (lifetime.opaque || lifetime.cells_overflowed || lifetime.stored_top || dirty_all) {
+      return;
+    }
+    for (uint8_t r = 0; r < kNumAdRegs; ++r) {
+      if (state.regs[r].top) return;  // a top register may hold any heap-stored site
+    }
+    for (const auto& [other, val] : state.cells) {
+      if (other != cell && val.top) return;
+    }
+    for (uint16_t site : old_value.sites) {
+      if (new_value.HasSite(site)) continue;  // re-stored, not killed
+      if (!SoleCellSite(site, cell.first, cell.second)) continue;
+      bool held_elsewhere = false;
+      for (uint8_t r = 0; r < kNumAdRegs && !held_elsewhere; ++r) {
+        held_elsewhere = state.regs[r].HasSite(site);
+      }
+      for (const auto& [other, val] : state.cells) {
+        if (held_elsewhere) break;
+        if (other != cell) held_elsewhere = val.HasSite(site);
+      }
+      if (held_elsewhere) continue;
+      if (!reported_anomalies.emplace(site, pc).second) continue;
+      RetentionAnomaly anomaly;
+      anomaly.site = site;
+      anomaly.store_pc = lifetime.sites[site].heap_stores.front().pc;
+      anomaly.overwrite_pc = pc;
+      anomaly.container = cell.first;
+      anomaly.slot = cell.second;
+      anomaly.disasm = SiteDisasm(pc);
+      lifetime.anomalies.push_back(std::move(anomaly));
+    }
+  }
+
+  // Applies one access-part store to the tracked cells. Constant slot + unique container =
+  // strong update; everything else joins weakly (the store may or may not hit each cell).
+  void StoreCells(uint32_t pc, AbstractState& state, const AbsVal& container, uint32_t slot,
+                  const AbsVal& value, bool report) {
+    if (lifetime.cells_overflowed) return;
+    if (container.top) {
+      // Could hit any tracked cell.
+      for (auto& [cell, val] : state.cells) val.Join(value);
+      return;
+    }
+    for (ObjectIndex obj : container.objs) {
+      if (slot == kUnknownSlot) {
+        for (auto& [cell, val] : state.cells) {
+          if (cell.first == obj) val.Join(value);
+        }
+        continue;
+      }
+      const Cell cell{obj, slot};
+      auto it = state.cells.find(cell);
+      if (container.objs.size() == 1 && container.sites.empty()) {
+        if (it != state.cells.end()) {
+          CheckOverwrite(pc, state, cell, it->second, value, report);
+          it->second = value;
+        } else {
+          state.cells.emplace(cell, value);
+        }
+      } else if (it != state.cells.end()) {
+        it->second.Join(value);
+      } else {
+        state.cells.emplace(cell, value);
+      }
+    }
+    if (state.cells.size() > kMaxCells) {
+      lifetime.cells_overflowed = true;
+      state.cells.clear();
+    }
   }
 
   bool HasReachableCycle() const {
@@ -418,91 +609,43 @@ struct Analyzer {
     return false;
   }
 
-  EffectSummary Run() {
-    summary.program_name = program.name();
-    if (program.size() == 0) return summary;
+  ProgramSummary Run() {
+    if (program.size() != 0) {
+      // Fixpoint. The dirty set only grows; when it does, resolved loads may need to weaken,
+      // so the driver sends every visited block round again.
+      const std::vector<std::optional<AbstractState>> entry = ForwardFixpoint(
+          cfg, EntryState(), HavocState(), [this](uint32_t block, AbstractState& state) {
+            const size_t dirty_before = dirty.size();
+            const bool dirty_all_before = dirty_all;
+            ApplyBlock(block, state, /*report=*/false);
+            return dirty.size() != dirty_before || dirty_all != dirty_all_before;
+          });
 
-    std::vector<AbstractState> entry(cfg.size());
-    std::vector<bool> seen(cfg.size(), false);
-    std::vector<bool> queued(cfg.size(), false);
-    std::vector<uint32_t> worklist;
-
-    auto enqueue = [&](uint32_t block) {
-      if (!queued[block]) {
-        queued[block] = true;
-        worklist.push_back(block);
+      // Reporting pass: replay each analyzed block once, in program order. All escape facts
+      // are final by now, so the sole-cell anomaly test sees the whole program's stores.
+      for (uint32_t b = 0; b < cfg.size(); ++b) {
+        if (!entry[b]) continue;
+        AbstractState state = *entry[b];
+        ApplyBlock(b, state, /*report=*/true);
       }
-    };
-
-    auto seed = [&](uint32_t block, const AbstractState& state) {
-      if (!seen[block]) {
-        seen[block] = true;
-        entry[block] = state;
-        enqueue(block);
-      } else if (entry[block].Join(state)) {
-        enqueue(block);
-      }
-    };
-
-    seed(0, EntryState());
-    if (cfg.has_native()) {
-      // Native jumps make every block a potential entry with unknown registers (mirrors the
-      // verifier's treatment; see cfg.h).
-      AbstractState unknown;
-      HavocRegs(unknown);
-      unknown.sent.top = false;      // no guaranteed sends on an unknown path
-      unknown.received.top = false;  // ... and no guaranteed receives either
-      for (uint32_t b = 0; b < cfg.size(); ++b) seed(b, unknown);
+      FillSendsAfter(entry);
+      effects.may_not_terminate = effects.has_native || HasReachableCycle();
     }
-
-    // Fixpoint. The dirty set only grows; when it does, resolved loads may need to weaken,
-    // so every seen block re-runs.
-    while (!worklist.empty()) {
-      const uint32_t block = worklist.back();
-      worklist.pop_back();
-      queued[block] = false;
-
-      const size_t dirty_before = dirty.size();
-      const bool dirty_all_before = dirty_all;
-
-      AbstractState state = entry[block];
-      const BasicBlock& bb = cfg.block(block);
-      for (uint32_t pc = bb.begin; pc < bb.end; ++pc) Transfer(pc, state, nullptr);
-      for (uint32_t succ : bb.successors) seed(succ, state);
-
-      if (dirty.size() != dirty_before || dirty_all != dirty_all_before) {
-        for (uint32_t b = 0; b < cfg.size(); ++b) {
-          if (seen[b]) enqueue(b);
-        }
-      }
-    }
-
-    // Reporting pass: replay each analyzed block once, in program order, recording sites.
-    for (uint32_t b = 0; b < cfg.size(); ++b) {
-      if (!seen[b]) continue;
-      AbstractState state = entry[b];
-      const BasicBlock& bb = cfg.block(b);
-      for (uint32_t pc = bb.begin; pc < bb.end; ++pc) Transfer(pc, state, &summary);
-    }
-
-    FillSendsAfter(seen);
-
-    summary.may_not_terminate = summary.has_native || HasReachableCycle();
-    return summary;
+    return ProgramSummary{std::move(effects), std::move(lifetime)};
   }
 
   // Backward must-send pass filling ObjectAccess::sends_after: the ports a blocking send
   // with a provably-unique target reaches on *every* path from the access to program exit.
   // The race analysis only trusts these facts for acyclic, native-free programs (each site
   // then executes at most once), so the pass is skipped for opaque programs.
-  void FillSendsAfter(const std::vector<bool>& seen) {
-    if (summary.has_native || summary.accesses.empty()) return;
+  void FillSendsAfter(const std::vector<std::optional<AbstractState>>& seen) {
+    if (effects.has_native || effects.accesses.empty()) return;
 
     // Unique blocking-send target per pc. A site whose register resolves to several
     // candidates (several PortUse rows at one pc) or to nothing certain is excluded.
     std::map<uint32_t, ObjectIndex> send_at;
     std::set<uint32_t> ambiguous;
-    for (const PortUse& use : summary.uses) {
+    for (const PortUse& use : effects.uses) {
       if (use.op != PortOp::kSend || !use.blocking) continue;
       if (use.port == kUnresolvedPort || ambiguous.count(use.pc) != 0 ||
           send_at.count(use.pc) != 0) {
@@ -544,13 +687,9 @@ struct Analyzer {
       }
     }
 
-    // pc -> block lookup, then per access: later same-block sends plus out[block].
-    std::vector<uint32_t> block_of(program.size(), 0);
-    for (uint32_t b = 0; b < cfg.size(); ++b) {
-      for (uint32_t pc = cfg.block(b).begin; pc < cfg.block(b).end; ++pc) block_of[pc] = b;
-    }
-    for (ObjectAccess& access : summary.accesses) {
-      const uint32_t b = block_of[access.pc];
+    // Per access: later same-block sends plus out[block].
+    for (ObjectAccess& access : effects.accesses) {
+      const uint32_t b = cfg.block_of(access.pc);
       MustSent after = out[b];
       if (after.top) {
         // Every path from this block loops forever; nothing is guaranteed (and the race
@@ -601,9 +740,8 @@ bool EffectSummary::Writes(ObjectIndex object, ObjectPart part) const {
   return false;
 }
 
-EffectSummary EffectAnalyzer::Analyze(const Program& program, const EffectOptions& options) {
-  Analyzer analyzer(program, options);
-  return analyzer.Run();
+ProgramSummary AnalyzeProgram(const Program& program, const EffectOptions& options) {
+  return Analyzer(program, options).Run();
 }
 
 EffectOptions EffectOptionsForTable(const ObjectTable& table,

@@ -1,23 +1,32 @@
-// Per-program IPC effect summaries: which ports a program may send to or receive from.
+// The per-program AD-flow pass: one forward dataflow over a program's AD registers that
+// yields two summaries from one abstract state.
+//
+//   EffectSummary   — the program's communication and memory footprint: every send / receive
+//                     / cond_send / cond_receive site with the resolved port (or flagged
+//                     unresolved), every data and access-part read or write of a resolved
+//                     object, annotated with must-send-after / must-receive-before port facts,
+//                     and every domain call. The whole-system deadlock detector (deadlock.h)
+//                     and race detector (races/races.h) compose these across programs.
+//   LifetimeSummary — one record per create_object site: where the fresh object's AD flows
+//                     (stores into pre-existing objects or sibling sites, sends, call
+//                     arguments, returns, destroys), plus retention-anomaly candidates. The
+//                     whole-system lifetime phase (lifetime/lifetime.h) composes these.
 //
 // The capability verifier (verifier.h) proves per-instruction facts inside one program; this
-// pass computes the complementary *interface* fact — the program's communication footprint —
-// so a whole-system analysis (deadlock.h) can reason across program boundaries. The abstract
-// value per AD register is the set of concrete objects the register may name, grown from the
-// seeded initial argument (the loader knows exactly what lands in a7) and chased through
-// move_ad / load_ad chains by reading the live machine's access parts via a slot-reader
-// callback. Every send / receive / cond_send / cond_receive site is recorded with the
-// resolved port object when the chain resolves, and flagged unresolved otherwise. The same
-// resolution also yields per-program *access summaries* — may-read / may-write sets over
-// abstract objects, annotated with must-send-after / must-receive-before port facts — which
-// the whole-system race detector (races/races.h) turns into a message-passing
-// happens-before relation.
+// pass computes the complementary *interface* facts. The abstract value per AD register is
+// the set of concrete objects the register may name plus the allocation sites it may name.
+// Resolution is seeded from what the loader knows — the initial argument in a7 and, at a
+// domain entry, "any object" in a6 (the call amplified a6 to the callee's own domain, and one
+// segment may serve several domains) — and chased through move_ad / load_ad chains by reading
+// the live machine's access parts via a slot-reader callback. A load through a register that
+// may hold a fresh object may yield any object: the fresh object holds whatever the program
+// stored into it.
 //
 // Soundness posture (see DESIGN.md §6): this is a *may* analysis over the ISA stream.
-// Native steps and unknown OS services havoc the register file and mark the summary opaque —
+// Native steps and unknown OS services havoc the register file and mark the summaries opaque —
 // their C++ bodies can talk to any port without appearing here. Known AD-free OS services
 // (yield, get-time, set-priority/deadline) are modeled precisely, and the timed-receive
-// service is modeled as a blocking receive through a7. Access-part stores performed by the
+// service is modeled as a guarded receive through a7. Access-part stores performed by the
 // program itself dirty the stored-into objects: later load_ad chains through a dirtied
 // object resolve to "unknown" rather than to the boot-time snapshot the slot reader sees.
 
@@ -124,7 +133,59 @@ struct EffectSummary {
   bool Writes(ObjectIndex object, ObjectPart part = ObjectPart::kData) const;
 };
 
+// Slot sentinel for a store whose slot index is computed at run time (store_ad_indexed).
+inline constexpr uint32_t kUnknownSlot = 0xFFFFFFFFu;
+
+// One store of a site's AD into a resolved pre-existing object.
+struct HeapStore {
+  ObjectIndex container = kInvalidObjectIndex;
+  uint32_t slot = kUnknownSlot;
+  uint32_t pc = 0;
+};
+
+// Everything known about one `create_object` instruction. All escape facts are monotone
+// may-facts accumulated to a fixpoint; a site with no fact set at all is context-local.
+struct AllocationSite {
+  uint32_t pc = 0;
+  uint32_t data_bytes = 0;
+  uint32_t access_slots = 0;
+  std::string disasm;
+
+  std::vector<HeapStore> heap_stores;        // stores into pre-existing objects
+  std::vector<uint16_t> stored_into_sites;   // stores into sibling allocation sites
+  bool sent = false;                         // payload of a send / cond_send
+  bool passed_to_call = false;               // in a7 at a call / call_local
+  bool returned = false;                     // in a7 at a return
+  bool destroyed = false;                    // destroy_object may target it
+  bool unresolved = false;                   // stored through an unresolvable container
+};
+
+// One provable last-reference kill: the store at `overwrite_pc` replaces the contents of
+// access slot `slot` of `container` — the only place the site's AD was ever stored — while
+// no register or other tracked cell still names the site.
+struct RetentionAnomaly {
+  uint16_t site = 0;           // index into LifetimeSummary::sites
+  uint32_t store_pc = 0;       // the store that put the sole AD into the cell
+  uint32_t overwrite_pc = 0;   // the store that kills it
+  ObjectIndex container = kInvalidObjectIndex;
+  uint32_t slot = 0;
+  std::string disasm;          // disassembly of the overwrite site
+};
+
+struct LifetimeSummary {
+  std::string program_name;
+  std::vector<AllocationSite> sites;       // ascending pc
+  std::vector<RetentionAnomaly> anomalies; // per-program candidates; phase 2 suppresses
+  bool opaque = false;          // native steps or unknown OS services present
+  bool sent_unknown = false;    // some send's payload chain did not resolve
+  bool stored_top = false;      // some store's value did not resolve (voids anomaly claims)
+  bool cells_overflowed = false;  // abstract heap-cell bound hit (voids anomaly claims)
+};
+
 struct EffectOptions {
+  // How the program is entered. A domain entry's a6 starts at "any object"; a process's is
+  // null.
+  ProgramKind kind = ProgramKind::kProcess;
   // Concrete AD in a7 at entry. Null = unknown entry argument (domain entries, offline
   // analysis): a7 starts at "any object" and nothing resolves through it.
   AccessDescriptor initial_arg;
@@ -135,14 +196,17 @@ struct EffectOptions {
   const SymbolTable* symbols = nullptr;
 };
 
-class EffectAnalyzer {
- public:
-  // Computes the summary to a fixpoint over the program's CFG.
-  static EffectSummary Analyze(const Program& program, const EffectOptions& options = {});
+// Both summaries of one program.
+struct ProgramSummary {
+  EffectSummary effects;
+  LifetimeSummary lifetime;
 };
 
+// Computes both summaries to a fixpoint over the program's CFG.
+ProgramSummary AnalyzeProgram(const Program& program, const EffectOptions& options = {});
+
 // Options whose slot reader chases chains through a live object table. The table must
-// outlive the Analyze call (it is consulted synchronously, never stored).
+// outlive the AnalyzeProgram call (it is consulted synchronously, never stored).
 EffectOptions EffectOptionsForTable(const ObjectTable& table,
                                     const AccessDescriptor& initial_arg,
                                     const SymbolTable* symbols = nullptr);

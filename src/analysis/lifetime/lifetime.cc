@@ -1,482 +1,10 @@
 #include "src/analysis/lifetime/lifetime.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <set>
-#include <utility>
-
-#include "src/analysis/cfg.h"
-#include "src/isa/disassembler.h"
 
 namespace imax432 {
 namespace analysis {
 namespace {
-
-// Kernel service ids modeled precisely; kept in sync with src/exec/kernel.h (duplicated so
-// the analysis layer does not depend on the execution layer, like effects.cc).
-constexpr uint32_t kOsYield = 1;
-constexpr uint32_t kOsGetTime = 2;
-constexpr uint32_t kOsSetPriority = 3;
-constexpr uint32_t kOsSetDeadline = 4;
-constexpr uint32_t kOsTimedReceive = 5;
-
-// Widening bound on the concrete-object component per register (matches effects.cc).
-constexpr size_t kMaxAdSet = 8;
-// Bound on tracked abstract heap cells per state; past it anomaly claims are voided.
-constexpr size_t kMaxCells = 32;
-
-// Abstract AD value: the pre-existing objects the register may name (top = any of them)
-// plus the allocation sites it may name. The site component stays exact even under top:
-// sites enter a value only at their create_object and flow only through moves, so a value
-// widened to top cannot silently carry a site — any site reachable through an untracked
-// path (a load from a dirtied container, a receive, a call return) was already marked
-// escaped when it entered that path. That invariant is what makes per-site facts sound.
-struct AbsVal {
-  bool top = false;
-  std::vector<ObjectIndex> objs;   // sorted, deduped, size <= kMaxAdSet
-  std::vector<uint16_t> sites;     // sorted, deduped
-
-  static AbsVal Top() {
-    AbsVal v;
-    v.top = true;
-    return v;
-  }
-
-  void AddObj(ObjectIndex index) {
-    if (top || index == kInvalidObjectIndex) return;
-    auto it = std::lower_bound(objs.begin(), objs.end(), index);
-    if (it != objs.end() && *it == index) return;
-    objs.insert(it, index);
-    if (objs.size() > kMaxAdSet) {
-      top = true;
-      objs.clear();
-    }
-  }
-
-  void AddSite(uint16_t site) {
-    auto it = std::lower_bound(sites.begin(), sites.end(), site);
-    if (it == sites.end() || *it != site) sites.insert(it, site);
-  }
-
-  bool HasSite(uint16_t site) const {
-    return std::binary_search(sites.begin(), sites.end(), site);
-  }
-
-  // Least upper bound; returns true when this value changed.
-  bool Join(const AbsVal& other) {
-    bool changed = false;
-    if (!top) {
-      if (other.top) {
-        top = true;
-        objs.clear();
-        changed = true;
-      } else {
-        const size_t before = objs.size();
-        for (ObjectIndex index : other.objs) AddObj(index);
-        changed |= top || objs.size() != before;
-      }
-    }
-    const size_t sites_before = sites.size();
-    for (uint16_t site : other.sites) AddSite(site);
-    changed |= sites.size() != sites_before;
-    return changed;
-  }
-
-  bool DefinitelyNull() const { return !top && objs.empty() && sites.empty(); }
-};
-
-// One tracked access slot of a pre-existing object.
-using Cell = std::pair<ObjectIndex, uint32_t>;  // (container, slot)
-
-struct AbstractState {
-  AbsVal regs[kNumAdRegs];
-  // What each stored-to cell may currently hold. Absent = still the boot-time value, which
-  // names no site. Weak updates (ambiguous container) join; strong updates (unique
-  // container, constant slot) replace — the replacement point is where anomalies surface.
-  std::map<Cell, AbsVal> cells;
-
-  bool Join(const AbstractState& other) {
-    bool changed = false;
-    for (uint8_t r = 0; r < kNumAdRegs; ++r) changed |= regs[r].Join(other.regs[r]);
-    for (const auto& [cell, val] : other.cells) {
-      auto [it, inserted] = cells.emplace(cell, val);
-      if (inserted) {
-        changed = true;
-      } else {
-        changed |= it->second.Join(val);
-      }
-    }
-    return changed;
-  }
-};
-
-struct Analyzer {
-  const Program& program;
-  const EffectOptions& options;
-  const ControlFlowGraph cfg;
-  LifetimeSummary summary;
-
-  std::map<uint32_t, uint16_t> site_of_pc;  // create_object pc -> site index
-
-  // Containers whose access parts this program may overwrite (same role as in effects.cc:
-  // loads through a dirtied container must not trust the boot-time snapshot).
-  std::set<ObjectIndex> dirty;
-  bool dirty_all = false;
-
-  std::set<std::pair<uint16_t, uint32_t>> reported_anomalies;  // (site, overwrite_pc)
-
-  Analyzer(const Program& p, const EffectOptions& o)
-      : program(p), options(o), cfg(ControlFlowGraph::Build(p)) {
-    // Site identities must be stable across the fixpoint: one pre-pass assigns them.
-    for (uint32_t pc = 0; pc < program.size(); ++pc) {
-      const Instruction& in = program.at(pc);
-      if (in.op != Opcode::kCreateObject) continue;
-      AllocationSite site;
-      site.pc = pc;
-      site.data_bytes = in.imm;
-      site.access_slots = in.c;
-      char prefix[16];
-      std::snprintf(prefix, sizeof(prefix), "%04u  ", pc);
-      site.disasm = prefix + DisassembleInstruction(in, kInvalidObjectIndex, options.symbols);
-      site_of_pc.emplace(pc, static_cast<uint16_t>(summary.sites.size()));
-      summary.sites.push_back(std::move(site));
-    }
-  }
-
-  AbstractState EntryState() const {
-    AbstractState state;
-    if (!options.initial_arg.is_null()) {
-      state.regs[kArgAdReg].AddObj(options.initial_arg.index());
-    } else {
-      state.regs[kArgAdReg] = AbsVal::Top();
-    }
-    return state;
-  }
-
-  AccessDescriptor ReadSlot(ObjectIndex container, uint32_t slot) const {
-    if (!options.slot_reader) return {};
-    return options.slot_reader(container, slot);
-  }
-
-  bool IsDirty(ObjectIndex container) const {
-    return dirty_all || dirty.count(container) != 0;
-  }
-
-  // Resolves `load_ad dst, container[slot]`. Loaded values carry no sites: a site can only
-  // be loaded back out of a container it was stored into, the store dirtied that container,
-  // and loads through dirty containers go to top (see the AbsVal invariant above).
-  AbsVal LoadSlot(const AbsVal& container, uint32_t slot) const {
-    if (container.top || !container.sites.empty() || !options.slot_reader) {
-      return container.DefinitelyNull() ? AbsVal() : AbsVal::Top();
-    }
-    AbsVal out;
-    for (ObjectIndex obj : container.objs) {
-      if (IsDirty(obj)) return AbsVal::Top();
-      const AccessDescriptor slot_ad = ReadSlot(obj, slot);
-      if (!slot_ad.is_null()) out.AddObj(slot_ad.index());
-    }
-    return out;
-  }
-
-  AllocationSite& Site(uint16_t index) { return summary.sites[index]; }
-
-  void NoteHeapStore(uint16_t site, ObjectIndex container, uint32_t slot, uint32_t pc) {
-    auto& stores = Site(site).heap_stores;
-    for (const HeapStore& s : stores) {
-      if (s.container == container && s.slot == slot && s.pc == pc) return;
-    }
-    stores.push_back(HeapStore{container, slot, pc});
-  }
-
-  void NoteSiteStore(uint16_t site, uint16_t target) {
-    auto& targets = Site(site).stored_into_sites;
-    if (std::find(targets.begin(), targets.end(), target) == targets.end()) {
-      targets.push_back(target);
-    }
-  }
-
-  // Records the escape facts of storing `value` into `container` at `pc` (slot may be
-  // kUnknownSlot for indexed stores).
-  void NoteStoreFacts(const AbsVal& container, uint32_t slot, const AbsVal& value,
-                      uint32_t pc) {
-    if (value.top) summary.stored_top = true;
-    if (value.sites.empty()) return;
-    for (uint16_t site : value.sites) {
-      if (container.top) Site(site).unresolved = true;
-      for (ObjectIndex obj : container.objs) NoteHeapStore(site, obj, slot, pc);
-      for (uint16_t target : container.sites) NoteSiteStore(site, target);
-    }
-  }
-
-  void MarkStoreInto(const AbsVal& container) {
-    if (container.top) {
-      dirty_all = true;
-      return;
-    }
-    for (ObjectIndex obj : container.objs) dirty.insert(obj);
-  }
-
-  void HavocRegs(AbstractState& state) {
-    for (uint8_t r = 0; r < kNumAdRegs; ++r) state.regs[r] = AbsVal::Top();
-  }
-
-  void Opaque(AbstractState& state) {
-    summary.opaque = true;
-    HavocRegs(state);
-    dirty_all = true;
-    // Native code may rewrite any tracked cell with anything.
-    for (auto& [cell, val] : state.cells) val = AbsVal::Top();
-  }
-
-  // True when the site's facts allow a sole-referent claim anchored at one cell: its only
-  // escapes are heap stores, and all of them target exactly (container, slot).
-  bool SoleCellSite(uint16_t index, ObjectIndex container, uint32_t slot) const {
-    const AllocationSite& site = summary.sites[index];
-    if (site.sent || site.passed_to_call || site.returned || site.destroyed ||
-        site.unresolved || !site.stored_into_sites.empty() || site.heap_stores.empty()) {
-      return false;
-    }
-    for (const HeapStore& s : site.heap_stores) {
-      if (s.container != container || s.slot != slot) return false;
-    }
-    return true;
-  }
-
-  // Strong update of (container, slot): the old value dies. Any site the old value named
-  // that the new one does not, that no register or other tracked cell still names, and
-  // whose every escape was a store into exactly this cell, has just lost its last AD.
-  void CheckOverwrite(uint32_t pc, const AbstractState& state, const Cell& cell,
-                      const AbsVal& old_value, const AbsVal& new_value, bool record) {
-    if (!record || old_value.sites.empty()) return;
-    // Unresolved machinery anywhere voids the flow-sensitive argument: a top value or an
-    // overflowed cell set could be hiding the AD.
-    if (summary.opaque || summary.cells_overflowed || summary.stored_top || dirty_all) return;
-    for (uint8_t r = 0; r < kNumAdRegs; ++r) {
-      if (state.regs[r].top) return;  // a top register may hold any heap-stored site
-    }
-    for (const auto& [other, val] : state.cells) {
-      if (other != cell && val.top) return;
-    }
-    for (uint16_t site : old_value.sites) {
-      if (new_value.HasSite(site)) continue;  // re-stored, not killed
-      if (!SoleCellSite(site, cell.first, cell.second)) continue;
-      bool held_elsewhere = false;
-      for (uint8_t r = 0; r < kNumAdRegs && !held_elsewhere; ++r) {
-        held_elsewhere = state.regs[r].HasSite(site);
-      }
-      for (const auto& [other, val] : state.cells) {
-        if (held_elsewhere) break;
-        if (other != cell) held_elsewhere = val.HasSite(site);
-      }
-      if (held_elsewhere) continue;
-      if (!reported_anomalies.emplace(site, pc).second) continue;
-      RetentionAnomaly anomaly;
-      anomaly.site = site;
-      anomaly.store_pc = summary.sites[site].heap_stores.front().pc;
-      anomaly.overwrite_pc = pc;
-      anomaly.container = cell.first;
-      anomaly.slot = cell.second;
-      char prefix[16];
-      std::snprintf(prefix, sizeof(prefix), "%04u  ", pc);
-      anomaly.disasm =
-          prefix + DisassembleInstruction(program.at(pc), kInvalidObjectIndex, options.symbols);
-      summary.anomalies.push_back(std::move(anomaly));
-    }
-  }
-
-  // Applies one access-part store to the tracked cells. Constant slot + unique container =
-  // strong update; everything else joins weakly (the store may or may not hit each cell).
-  void StoreCells(uint32_t pc, AbstractState& state, const AbsVal& container, uint32_t slot,
-                  const AbsVal& value, bool record) {
-    if (summary.cells_overflowed) return;
-    if (container.top) {
-      // Could hit any tracked cell.
-      for (auto& [cell, val] : state.cells) val.Join(value);
-      return;
-    }
-    for (ObjectIndex obj : container.objs) {
-      if (slot == kUnknownSlot) {
-        for (auto& [cell, val] : state.cells) {
-          if (cell.first == obj) val.Join(value);
-        }
-        continue;
-      }
-      const Cell cell{obj, slot};
-      auto it = state.cells.find(cell);
-      if (container.objs.size() == 1 && container.sites.empty()) {
-        if (it != state.cells.end()) {
-          CheckOverwrite(pc, state, cell, it->second, value, record);
-          it->second = value;
-        } else {
-          state.cells.emplace(cell, value);
-        }
-      } else if (it != state.cells.end()) {
-        it->second.Join(value);
-      } else {
-        state.cells.emplace(cell, value);
-      }
-    }
-    if (state.cells.size() > kMaxCells) {
-      summary.cells_overflowed = true;
-      state.cells.clear();
-    }
-  }
-
-  // Applies one instruction to `state`. `record` marks the reporting pass (facts are
-  // recorded in both passes — they are monotone and deduplicated — but anomalies only in
-  // the reporting pass, once per site pair).
-  void Transfer(uint32_t pc, AbstractState& state, bool record) {
-    const Instruction& in = program.at(pc);
-    switch (in.op) {
-      case Opcode::kMoveAd:
-        state.regs[in.a] = state.regs[in.b];
-        break;
-      case Opcode::kClearAd:
-        state.regs[in.a] = AbsVal();
-        break;
-      case Opcode::kLoadAd:
-        state.regs[in.a] = LoadSlot(state.regs[in.b], in.imm);
-        break;
-      case Opcode::kLoadAdIndexed:
-        state.regs[in.a] =
-            state.regs[in.b].DefinitelyNull() ? AbsVal() : AbsVal::Top();
-        break;
-      case Opcode::kStoreAd:
-        NoteStoreFacts(state.regs[in.a], in.imm, state.regs[in.b], pc);
-        StoreCells(pc, state, state.regs[in.a], in.imm, state.regs[in.b], record);
-        MarkStoreInto(state.regs[in.a]);
-        break;
-      case Opcode::kStoreAdIndexed:
-        NoteStoreFacts(state.regs[in.a], kUnknownSlot, state.regs[in.b], pc);
-        StoreCells(pc, state, state.regs[in.a], kUnknownSlot, state.regs[in.b], record);
-        MarkStoreInto(state.regs[in.a]);
-        break;
-      case Opcode::kRestrictRights:
-      case Opcode::kAdIsNull:
-        break;  // object identity unchanged / data result only
-      case Opcode::kCreateObject: {
-        AbsVal fresh;
-        fresh.AddSite(site_of_pc.at(pc));
-        state.regs[in.a] = std::move(fresh);
-        break;
-      }
-      case Opcode::kCreateSro:
-        state.regs[in.a] = AbsVal();  // fresh SRO: not a tracked site
-        break;
-      case Opcode::kDestroyObject:
-        for (uint16_t site : state.regs[in.a].sites) Site(site).destroyed = true;
-        break;
-      case Opcode::kDestroySro:
-        break;
-      case Opcode::kSend:
-      case Opcode::kCondSend:
-        for (uint16_t site : state.regs[in.b].sites) Site(site).sent = true;
-        if (state.regs[in.b].top) summary.sent_unknown = true;
-        break;
-      case Opcode::kReceive:
-      case Opcode::kCondReceive:
-        state.regs[in.a] = AbsVal::Top();
-        break;
-      case Opcode::kCall:
-      case Opcode::kCallLocal:
-        for (uint16_t site : state.regs[kArgAdReg].sites) Site(site).passed_to_call = true;
-        state.regs[kArgAdReg] = AbsVal::Top();  // callee return value
-        break;
-      case Opcode::kReturn:
-        for (uint16_t site : state.regs[kArgAdReg].sites) Site(site).returned = true;
-        break;
-      case Opcode::kOsCall:
-        switch (in.imm) {
-          case kOsYield:
-          case kOsGetTime:
-          case kOsSetPriority:
-          case kOsSetDeadline:
-            break;  // data-only services, no AD effect
-          case kOsTimedReceive:
-            state.regs[kArgAdReg] = AbsVal::Top();
-            break;
-          default:
-            Opaque(state);  // unknown / package service
-            break;
-        }
-        break;
-      case Opcode::kNative:
-        Opaque(state);
-        break;
-      default:
-        break;  // data / branch / halt: no AD effect
-    }
-  }
-
-  LifetimeSummary Run() {
-    summary.program_name = program.name();
-    if (program.size() == 0) return summary;
-
-    std::vector<AbstractState> entry(cfg.size());
-    std::vector<bool> seen(cfg.size(), false);
-    std::vector<bool> queued(cfg.size(), false);
-    std::vector<uint32_t> worklist;
-
-    auto enqueue = [&](uint32_t block) {
-      if (!queued[block]) {
-        queued[block] = true;
-        worklist.push_back(block);
-      }
-    };
-
-    auto seed = [&](uint32_t block, const AbstractState& state) {
-      if (!seen[block]) {
-        seen[block] = true;
-        entry[block] = state;
-        enqueue(block);
-      } else if (entry[block].Join(state)) {
-        enqueue(block);
-      }
-    };
-
-    seed(0, EntryState());
-    if (cfg.has_native()) {
-      // Native jumps make every block a potential entry with unknown registers (mirrors
-      // effects.cc; the opaque flag already voids every claim for this program).
-      AbstractState unknown;
-      HavocRegs(unknown);
-      for (uint32_t b = 0; b < cfg.size(); ++b) seed(b, unknown);
-    }
-
-    // Fixpoint. The dirty set only grows; when it does, resolved loads may need to weaken,
-    // so every seen block re-runs (same discipline as effects.cc).
-    while (!worklist.empty()) {
-      const uint32_t block = worklist.back();
-      worklist.pop_back();
-      queued[block] = false;
-
-      const size_t dirty_before = dirty.size();
-      const bool dirty_all_before = dirty_all;
-
-      AbstractState state = entry[block];
-      const BasicBlock& bb = cfg.block(block);
-      for (uint32_t pc = bb.begin; pc < bb.end; ++pc) Transfer(pc, state, false);
-      for (uint32_t succ : bb.successors) seed(succ, state);
-
-      if (dirty.size() != dirty_before || dirty_all != dirty_all_before) {
-        for (uint32_t b = 0; b < cfg.size(); ++b) {
-          if (seen[b]) enqueue(b);
-        }
-      }
-    }
-
-    // Reporting pass: replay each analyzed block once, in program order. All escape facts
-    // are final by now, so the sole-cell anomaly test sees the whole program's stores.
-    for (uint32_t b = 0; b < cfg.size(); ++b) {
-      if (!seen[b]) continue;
-      AbstractState state = entry[b];
-      const BasicBlock& bb = cfg.block(b);
-      for (uint32_t pc = bb.begin; pc < bb.end; ++pc) Transfer(pc, state, true);
-    }
-
-    return summary;
-  }
-};
 
 bool SiteEscapes(const AllocationSite& site) {
   return site.sent || site.passed_to_call || site.returned || site.destroyed ||
@@ -484,12 +12,6 @@ bool SiteEscapes(const AllocationSite& site) {
 }
 
 }  // namespace
-
-LifetimeSummary LifetimeAnalyzer::Analyze(const Program& program,
-                                          const EffectOptions& options) {
-  Analyzer analyzer(program, options);
-  return analyzer.Run();
-}
 
 std::vector<uint32_t> DemotableSites(const LifetimeSummary& summary) {
   std::vector<uint32_t> result;

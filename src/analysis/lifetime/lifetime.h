@@ -1,15 +1,15 @@
-// Static object-lifetime and escape analysis over allocation sites.
+// Static object-lifetime and escape analysis over allocation sites: the whole-system phase.
 //
 // The paper's storage model is lifetime-driven: local SROs are bulk-destroyed at scope exit
 // (level numbers guarantee no dangling references), while global-heap objects wait for the
 // parallel GC, with destruction filters recovering "lost objects" (§1.3–1.4). This pass is
-// the static side of that story. Phase 1 computes, per program, one summary per
-// `create_object` site: where the fresh object's ADs flow — stores into pre-existing
-// ("longer-lived") objects, stores into other allocation sites, port sends, domain-call
-// arguments (a7 at call), context returns (a7 at return), explicit destroys — with an
-// `unresolved` tier for anything the bounded AD-set machinery (effects.h) cannot follow.
-// Phase 2 composes summaries across the whole system through the PR 2 SystemEffectGraph and
-// yields three verdict classes:
+// the static side of that story. Phase 1 is the per-program AD-flow pass (effects.h): its
+// LifetimeSummary holds one record per `create_object` site — where the fresh object's ADs
+// flow: stores into pre-existing ("longer-lived") objects, stores into other allocation
+// sites, port sends, domain-call arguments (a7 at call), context returns (a7 at return),
+// explicit destroys — with an `unresolved` tier for anything the bounded AD-set machinery
+// cannot follow. Phase 2, here, composes those summaries across the whole system through the
+// SystemEffectGraph (deadlock.h) and yields three verdict classes:
 //
 //   demotable         — the site provably never escapes the allocating context's lifetime:
 //                       no heap store, no send, no call argument, no return, no destroy,
@@ -46,67 +46,9 @@
 #include "src/analysis/deadlock.h"
 #include "src/analysis/effects.h"
 #include "src/arch/types.h"
-#include "src/isa/program.h"
 
 namespace imax432 {
 namespace analysis {
-
-// Slot sentinel for a store whose slot index is computed at run time (store_ad_indexed).
-inline constexpr uint32_t kUnknownSlot = 0xFFFFFFFFu;
-
-// One store of a site's AD into a resolved pre-existing object.
-struct HeapStore {
-  ObjectIndex container = kInvalidObjectIndex;
-  uint32_t slot = kUnknownSlot;
-  uint32_t pc = 0;
-};
-
-// Everything known about one `create_object` instruction. All escape facts are monotone
-// may-facts accumulated to a fixpoint; a site with no fact set at all is context-local.
-struct AllocationSite {
-  uint32_t pc = 0;
-  uint32_t data_bytes = 0;
-  uint32_t access_slots = 0;
-  std::string disasm;
-
-  std::vector<HeapStore> heap_stores;        // stores into pre-existing objects
-  std::vector<uint16_t> stored_into_sites;   // stores into sibling allocation sites
-  bool sent = false;                         // payload of a send / cond_send
-  bool passed_to_call = false;               // in a7 at a call / call_local
-  bool returned = false;                     // in a7 at a return
-  bool destroyed = false;                    // destroy_object may target it
-  bool unresolved = false;                   // stored through an unresolvable container
-};
-
-// One provable last-reference kill: the store at `overwrite_pc` replaces the contents of
-// access slot `slot` of `container` — the only place the site's AD was ever stored — while
-// no register or other tracked cell still names the site.
-struct RetentionAnomaly {
-  uint16_t site = 0;           // index into LifetimeSummary::sites
-  uint32_t store_pc = 0;       // the store that put the sole AD into the cell
-  uint32_t overwrite_pc = 0;   // the store that kills it
-  ObjectIndex container = kInvalidObjectIndex;
-  uint32_t slot = 0;
-  std::string disasm;          // disassembly of the overwrite site
-};
-
-struct LifetimeSummary {
-  std::string program_name;
-  std::vector<AllocationSite> sites;       // ascending pc
-  std::vector<RetentionAnomaly> anomalies; // per-program candidates; phase 2 suppresses
-  bool opaque = false;          // native steps or unknown OS services present
-  bool sent_unknown = false;    // some send's payload chain did not resolve
-  bool stored_top = false;      // some store's value did not resolve (voids anomaly claims)
-  bool cells_overflowed = false;  // abstract heap-cell bound hit (voids anomaly claims)
-};
-
-class LifetimeAnalyzer {
- public:
-  // Computes the per-program summary to a fixpoint over the program's CFG. Reuses the
-  // effect-analysis options: the seeded initial argument and slot reader resolve store
-  // containers exactly as effects.h resolves ports.
-  static LifetimeSummary Analyze(const Program& program, const EffectOptions& options = {});
-};
 
 // The pcs of this program's demotable sites (sorted): sites with no escape fact whose
 // sibling-site stores reach only demotable sites, in a non-opaque program. Per-program by

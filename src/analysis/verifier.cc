@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <deque>
 
 #include "src/analysis/cfg.h"
 #include "src/isa/disassembler.h"
@@ -101,16 +100,17 @@ struct RegisterState {
   std::array<AdAbstract, kNumAdRegs> ad;
   AdAbstract domain;
 
-  static RegisterState Join(const RegisterState& a, const RegisterState& b) {
-    RegisterState joined;
-    for (uint8_t i = 0; i < kNumAdRegs; ++i) {
-      joined.ad[i] = AdAbstract::Join(a.ad[i], b.ad[i]);
-    }
-    joined.domain = AdAbstract::Join(a.domain, b.domain);
-    return joined;
-  }
-  friend bool operator==(const RegisterState& a, const RegisterState& b) {
-    return a.ad == b.ad && a.domain == b.domain;
+  // Least upper bound; returns true when this state changed.
+  bool Join(const RegisterState& other) {
+    bool changed = false;
+    auto join = [&changed](AdAbstract& into, const AdAbstract& from) {
+      const AdAbstract joined = AdAbstract::Join(into, from);
+      changed |= !(joined == into);
+      into = joined;
+    };
+    for (uint8_t i = 0; i < kNumAdRegs; ++i) join(ad[i], other.ad[i]);
+    join(domain, other.domain);
+    return changed;
   }
 };
 
@@ -124,48 +124,19 @@ class Analysis {
     if (program_.size() == 0) {
       return result;
     }
-    RegisterState entry = EntryState();
+    const RegisterState entry = EntryState();
 
-    // Fixpoint: worklist over basic blocks. All joins move toward "unknown" and the level
-    // bounds move toward the interval hull over a finite set of constants, so the transfer
-    // functions are monotone over a finite-height lattice and the loop terminates.
-    std::vector<RegisterState> in_state(cfg_.size(), HavocState(entry));
-    std::vector<bool> seen(cfg_.size(), false);
-    in_state[0] = cfg_.has_native() ? RegisterState::Join(entry, HavocState(entry)) : entry;
-    seen[0] = true;
-    if (cfg_.has_native()) {
-      // Native steps can jump to any instruction with an arbitrary register file; every
-      // block entry must absorb that state to stay sound.
-      for (uint32_t id = 1; id < cfg_.size(); ++id) {
-        seen[id] = true;
-      }
-    }
-    std::deque<uint32_t> worklist;
-    for (uint32_t id = 0; id < cfg_.size(); ++id) {
-      if (seen[id]) {
-        worklist.push_back(id);
-      }
-    }
-    while (!worklist.empty()) {
-      uint32_t id = worklist.front();
-      worklist.pop_front();
-      RegisterState state = in_state[id];
-      const BasicBlock& block = cfg_.block(id);
-      for (uint32_t pc = block.begin; pc < block.end; ++pc) {
-        Apply(program_.at(pc), pc, state, nullptr);
-      }
-      for (uint32_t successor : block.successors) {
-        RegisterState merged =
-            seen[successor] ? RegisterState::Join(in_state[successor], state) : state;
-        if (!seen[successor] || !(merged == in_state[successor])) {
-          in_state[successor] = merged;
-          seen[successor] = true;
-          if (std::find(worklist.begin(), worklist.end(), successor) == worklist.end()) {
-            worklist.push_back(successor);
+    // Fixpoint. All joins move toward "unknown" and the level bounds move toward the
+    // interval hull over a finite set of constants, so the transfer functions are monotone
+    // over a finite-height lattice and the loop terminates.
+    const std::vector<std::optional<RegisterState>> in_state = ForwardFixpoint(
+        cfg_, entry, HavocState(entry), [this](uint32_t id, RegisterState& state) {
+          const BasicBlock& block = cfg_.block(id);
+          for (uint32_t pc = block.begin; pc < block.end; ++pc) {
+            Apply(program_.at(pc), pc, state, nullptr);
           }
-        }
-      }
-    }
+          return false;
+        });
 
     // Reporting pass: one walk per reachable block against its fixpoint entry state.
     for (uint32_t id = 0; id < cfg_.size(); ++id) {
@@ -176,7 +147,7 @@ class Analysis {
              Format("block at %u unreachable from entry", block.begin)});
         continue;
       }
-      RegisterState state = in_state[id];
+      RegisterState state = *in_state[id];
       for (uint32_t pc = block.begin; pc < block.end; ++pc) {
         Apply(program_.at(pc), pc, state, &result.diagnostics);
       }
@@ -195,7 +166,7 @@ class Analysis {
       state.ad[i] = AdAbstract::Null();
     }
     state.ad[kArgAdReg] = options_.initial_arg;
-    if (options_.entry == VerifyOptions::EntryKind::kDomainEntry) {
+    if (options_.entry == ProgramKind::kDomainEntry) {
       // The call instruction amplified a6 with read rights on the domain itself.
       AdAbstract domain = AdAbstract::Unknown();
       domain.nullness = AdAbstract::Nullness::kObject;
@@ -525,7 +496,7 @@ class Analysis {
         // Returning an activation-local AD escapes the activation's lifetime; the checked
         // store into the caller's context provably faults. Only meaningful when a caller
         // exists, i.e. for domain entries (a process's top-level return just terminates).
-        if (options_.entry == VerifyOptions::EntryKind::kDomainEntry &&
+        if (options_.entry == ProgramKind::kDomainEntry &&
             state.ad[kArgAdReg].nullness == AdAbstract::Nullness::kObject &&
             state.ad[kArgAdReg].level.entry_relative) {
           Report(sink, pc, Rule::kLevelRule, Severity::kError,

@@ -166,12 +166,8 @@ struct VerifyResult {
 std::string FormatDiagnostics(const Program& program, const VerifyResult& result);
 
 struct VerifyOptions {
-  enum class EntryKind : uint8_t {
-    kProcessEntry,  // top-level program of a process: no current domain, a7 = initial arg
-    kDomainEntry,   // instruction segment invoked through a domain: a6 = current domain
-  };
-
-  EntryKind entry = EntryKind::kProcessEntry;
+  // A process entry has no current domain; a domain entry's a6 is the current domain.
+  ProgramKind entry = ProgramKind::kProcess;
   // Abstract value of the argument register a7 at entry (defaults to unknown).
   AdAbstract initial_arg = AdAbstract::Unknown();
   // Absolute level of the entry context, when the loader knows it.

@@ -148,7 +148,7 @@ Result<AccessDescriptor> Kernel::CreateProcess(ProgramRef program,
 
   if (verify_on_load_) {
     analysis::VerifyOptions verify_options;
-    verify_options.entry = analysis::VerifyOptions::EntryKind::kProcessEntry;
+    verify_options.entry = ProgramKind::kProcess;
     // The initial context executes one level below the process ("contexts live one level
     // below the process"), and the loader knows exactly what lands in a7.
     verify_options.entry_level = static_cast<uint32_t>(base_level + 1);
@@ -163,19 +163,9 @@ Result<AccessDescriptor> Kernel::CreateProcess(ProgramRef program,
     }
   }
 
-  ProgramRef loaded = program;  // keep the content for the effect summary below
   IMAX_ASSIGN_OR_RETURN(AccessDescriptor segment, programs_.Register(std::move(program)));
-
-  if (verify_on_load_) {
-    // Incremental whole-system analysis upkeep: summarize the program's IPC effects now,
-    // while the loader's concrete initial argument is in hand (see AnalyzeSystem).
-    RecordEffectSummary(segment.index(), *loaded, options.initial_arg,
-                        analysis::ProgramKind::kProcess);
-  } else {
-    // Defer the summary to the first AnalyzeSystem() call, but keep the concrete initial
-    // argument — it is what makes the program's port uses resolvable at all.
-    deferred_args_[segment.index()] = options.initial_arg;
-  }
+  // The concrete initial argument is what makes the program's port uses resolvable at all.
+  NoteLoad(segment, LoadFacts{ProgramKind::kProcess, options.initial_arg});
   // The kernel itself feeds fault and scheduler ports (RaiseFault / scheduler
   // notifications), so their receivers are never statically starved.
   if (!options.fault_port.is_null()) {
@@ -286,7 +276,7 @@ Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor
     for (const AccessDescriptor& entry_segment : entries) {
       IMAX_ASSIGN_OR_RETURN(ProgramRef entry_program, programs_.Fetch(entry_segment));
       analysis::VerifyOptions verify_options;
-      verify_options.entry = analysis::VerifyOptions::EntryKind::kDomainEntry;
+      verify_options.entry = ProgramKind::kDomainEntry;
       // Domains are called from arbitrary levels with arbitrary arguments, so nothing else
       // can be seeded.
       analysis::VerifyResult verdict = analysis::Verifier::Verify(*entry_program, verify_options);
@@ -296,11 +286,6 @@ Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor
         IMAX_LOG_INFO("kernel: verifier rejected domain entry program:\n%s",
                       analysis::FormatDiagnostics(*entry_program, verdict).c_str());
         return Fault::kVerificationFailed;
-      }
-      if (!effect_graph_.HasProgram(entry_segment.index())) {
-        // Domain entries take arbitrary caller arguments: no initial-arg seeding.
-        RecordEffectSummary(entry_segment.index(), *entry_program, AccessDescriptor(),
-                            analysis::ProgramKind::kDomainEntry);
       }
     }
   }
@@ -319,6 +304,8 @@ Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor
       return Fault::kTypeMismatch;
     }
     view.SetSlot(static_cast<uint32_t>(i), entries[i]);
+    // Domain entries take arbitrary caller arguments: no initial-arg seeding.
+    NoteLoad(entries[i], LoadFacts{ProgramKind::kDomainEntry, {}});
   }
   // Holders of the returned AD may call the domain but not read or write its contents:
   // the protected-package property.
@@ -1604,22 +1591,27 @@ void Kernel::NotifyEvent(const AccessDescriptor& process, ProcessEvent event) {
   }
 }
 
-void Kernel::RecordEffectSummary(ObjectIndex segment, const Program& program,
-                                 const AccessDescriptor& initial_arg,
-                                 analysis::ProgramKind kind) {
+void Kernel::NoteLoad(const AccessDescriptor& segment, const LoadFacts& facts) {
+  if (!load_facts_.emplace(segment.index(), facts).second || !verify_on_load_) return;
+  // Incremental whole-system analysis upkeep: summarize now, so demotion verdicts exist the
+  // moment the program can run (see AnalyzeSystem).
+  auto program = programs_.Fetch(segment);
+  if (program.ok()) RecordEffectSummary(segment.index(), *program.value());
+}
+
+void Kernel::RecordEffectSummary(ObjectIndex segment, const Program& program) {
+  const LoadFacts facts = load_facts(segment);
   analysis::EffectOptions options =
-      analysis::EffectOptionsForTable(machine_->table(), initial_arg, &symbols_);
-  analysis::EffectSummary effects = analysis::EffectAnalyzer::Analyze(program, options);
-  effect_graph_.AddProgram(segment, std::move(effects), kind);
+      analysis::EffectOptionsForTable(machine_->table(), facts.initial_arg, &symbols_);
+  options.kind = facts.kind;
+  analysis::ProgramSummary summary = analysis::AnalyzeProgram(program, options);
+  effect_graph_.AddProgram(segment, std::move(summary.effects), facts.kind);
   ++stats_.effect_summaries;
 
-  // The lifetime summary rides along so demotion verdicts exist the moment the program can
-  // run (and AnalyzeLifetimes never recomputes).
-  analysis::LifetimeSummary lifetime = analysis::LifetimeAnalyzer::Analyze(program, options);
   std::set<uint32_t> demotable;
-  for (uint32_t pc : analysis::DemotableSites(lifetime)) demotable.insert(pc);
+  for (uint32_t pc : analysis::DemotableSites(summary.lifetime)) demotable.insert(pc);
   demotable_sites_[segment] = std::move(demotable);
-  lifetime_summaries_[segment] = std::move(lifetime);
+  lifetime_summaries_[segment] = std::move(summary.lifetime);
   ++stats_.lifetime_summaries;
 }
 
@@ -1667,18 +1659,12 @@ uint32_t Kernel::ReclaimDemoteSro(uint16_t cpu, ProcessView& proc, ContextView& 
 }
 
 void Kernel::EnsureSummaries() {
-  // Programs loaded while verify_on_load was off have no summary yet; compute them now,
-  // seeding each from the initial argument remembered at CreateProcess time. A program with
-  // no recorded argument (registered directly with the store) starts from "any object" —
-  // strictly weaker than the incremental path, never wrong.
+  // Programs loaded while verify_on_load was off have no summary yet; compute them now from
+  // the same load facts the incremental path uses. A program no CreateProcess or
+  // CreateDomain loaded (registered directly with the store) starts from "any object" in a7
+  // — strictly weaker than a loaded one, never wrong.
   programs_.ForEach([this](ObjectIndex segment, const Program& program) {
-    if (!effect_graph_.HasProgram(segment)) {
-      auto deferred = deferred_args_.find(segment);
-      RecordEffectSummary(
-          segment, program,
-          deferred != deferred_args_.end() ? deferred->second : AccessDescriptor(),
-          analysis::ProgramKind::kProcess);
-    }
+    if (!effect_graph_.HasProgram(segment)) RecordEffectSummary(segment, program);
   });
 }
 

@@ -65,6 +65,15 @@ struct ProcessOptions {
   uint64_t initial_value = 0;             // placed in data register r7
 };
 
+// What the loader knew when it first loaded an instruction segment: whether CreateProcess
+// or CreateDomain loaded it, and the concrete AD CreateProcess placed in a7. The per-program
+// summaries are computed from these facts, at load time under verify-on-load and on the
+// first whole-system analysis otherwise.
+struct LoadFacts {
+  ProgramKind kind = ProgramKind::kProcess;
+  AccessDescriptor initial_arg;
+};
+
 struct KernelStats {
   uint64_t instructions_executed = 0;
   uint64_t dispatches = 0;
@@ -234,12 +243,19 @@ class Kernel {
     return lifetime_summaries_;
   }
 
-  // Drops all analysis state for a reclaimed or replaced instruction segment (summary + any
-  // deferred initial-argument fact + its diagnostic name + lifetime summary and
-  // demotable-site set). Called by the GC reclaim observer and the ProgramStore replace hook.
+  // How `segment` was first loaded; a segment no CreateProcess or CreateDomain loaded
+  // reads as a process with an unknown argument.
+  LoadFacts load_facts(ObjectIndex segment) const {
+    auto it = load_facts_.find(segment);
+    return it != load_facts_.end() ? it->second : LoadFacts{};
+  }
+
+  // Drops all analysis state for a reclaimed or replaced instruction segment (summary + load
+  // facts + its diagnostic name + lifetime summary and demotable-site set). Called by the GC
+  // reclaim observer and the ProgramStore replace hook.
   void ForgetProgramAnalysis(ObjectIndex segment) {
     effect_graph_.RemoveProgram(segment);
-    deferred_args_.erase(segment);
+    load_facts_.erase(segment);
     symbols_.Forget(segment);
     lifetime_summaries_.erase(segment);
     demotable_sites_.erase(segment);
@@ -383,8 +399,12 @@ class Kernel {
   void NotifyEvent(const AccessDescriptor& process, ProcessEvent event);
 
   // Computes summaries for any program registered while verify-on-load was off (shared by
-  // AnalyzeSystem and AnalyzeRaces).
+  // AnalyzeSystem, AnalyzeRaces and AnalyzeLifetimes).
   void EnsureSummaries();
+
+  // Files the load facts of `segment` unless an earlier load already did (the first load
+  // wins), and under verify-on-load summarizes the program at once.
+  void NoteLoad(const AccessDescriptor& segment, const LoadFacts& facts);
 
   // Instruction fetch through the addressing unit's translation cache: a hit skips the
   // table resolve and the program-store map lookup. Every hit rechecks liveness, generation,
@@ -393,11 +413,10 @@ class Kernel {
   // valid until Replace or Forget drops the program, and both move the store version.
   Result<const Program*> FetchProgram(const AccessDescriptor& ad);
 
-  // Computes and stores the IPC effect summary for a freshly-registered program, seeding
-  // resolution from the loader's concrete knowledge of the initial argument. Also computes
-  // the program's lifetime summary and demotable-site set (lifetime/lifetime.h).
-  void RecordEffectSummary(ObjectIndex segment, const Program& program,
-                           const AccessDescriptor& initial_arg, analysis::ProgramKind kind);
+  // Runs the AD-flow pass (analysis/effects.h) over the program from its load facts and
+  // stores both halves: the IPC effect summary in the effect graph, and the lifetime summary
+  // with its demotable-site set (lifetime/lifetime.h).
+  void RecordEffectSummary(ObjectIndex segment, const Program& program);
 
   // True when the create_object at (segment, pc) was proven context-local.
   bool IsDemotableSite(ObjectIndex segment, uint32_t pc) const;
@@ -431,9 +450,7 @@ class Kernel {
   KernelStats stats_;
   bool verify_on_load_ = false;
   analysis::SystemEffectGraph effect_graph_;
-  // Initial argument per instruction segment for processes loaded with verify-on-load off;
-  // consumed by AnalyzeSystem's deferred summarization.
-  std::map<ObjectIndex, AccessDescriptor> deferred_args_;
+  std::map<ObjectIndex, LoadFacts> load_facts_;  // segment -> how it was first loaded
   SymbolTable symbols_;
   std::unique_ptr<analysis::RaceSanitizer> race_sanitizer_;
   std::unique_ptr<analysis::LifetimeAuditor> lifetime_auditor_;
@@ -455,19 +472,6 @@ class Kernel {
   std::map<ObjectIndex, BlockWait> block_waits_;
   std::map<ObjectIndex, Cycles> call_starts_;
 };
-
-// Well-known OsCall service ids.
-namespace os_service {
-inline constexpr uint32_t kYield = 1;        // reenter the dispatching mix
-inline constexpr uint32_t kGetTime = 2;      // r7 = current virtual time (cycles)
-inline constexpr uint32_t kSetPriority = 3;  // set own priority = r7
-inline constexpr uint32_t kSetDeadline = 4;  // set own deadline = r7
-inline constexpr uint32_t kTimedReceive = 5; // receive from port a7 with timeout r7 cycles;
-                                             // message lands in a7; expiry faults kTimeout
-                                             // (the "limited set of timeout faults" level-2
-                                             // iMAX processes are permitted, §7.3)
-inline constexpr uint32_t kFirstPackageService = 16;  // iMAX packages register from here up
-}  // namespace os_service
 
 }  // namespace imax432
 

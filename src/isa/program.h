@@ -119,6 +119,24 @@ inline constexpr uint8_t kArgReg = 7;
 inline constexpr uint8_t kArgAdReg = 7;
 inline constexpr uint8_t kDomainAdReg = 6;
 
+// How a program is entered. A process's top-level program starts with a null a6 and the
+// loader's initial argument in a7; a domain entry runs only when a call lands in it, with a6
+// amplified to the callee's own domain and a7 the caller's argument.
+enum class ProgramKind : uint8_t { kProcess, kDomainEntry };
+
+// Well-known OsCall service ids.
+namespace os_service {
+inline constexpr uint32_t kYield = 1;        // reenter the dispatching mix
+inline constexpr uint32_t kGetTime = 2;      // r7 = current virtual time (cycles)
+inline constexpr uint32_t kSetPriority = 3;  // set own priority = r7
+inline constexpr uint32_t kSetDeadline = 4;  // set own deadline = r7
+inline constexpr uint32_t kTimedReceive = 5; // receive from port a7 with timeout r7 cycles;
+                                             // message lands in a7; expiry faults kTimeout
+                                             // (the "limited set of timeout faults" level-2
+                                             // iMAX processes are permitted, §7.3)
+inline constexpr uint32_t kFirstPackageService = 16;  // iMAX packages register from here up
+}  // namespace os_service
+
 class Program {
  public:
   explicit Program(std::string name) : name_(std::move(name)) {}

@@ -53,7 +53,7 @@ const ObjectAccess* FindAccess(const EffectSummary& summary, AccessKind kind,
 TEST(AccessSummaryTest, LoadDataRecordsDataRead) {
   Assembler a("reader");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 3).LoadData(0, 2, 0, 8).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Reads(kShared));
   EXPECT_FALSE(summary.Writes(kShared));
   EXPECT_FALSE(summary.has_unresolved_access);
@@ -66,7 +66,7 @@ TEST(AccessSummaryTest, LoadDataRecordsDataRead) {
 TEST(AccessSummaryTest, StoreDataRecordsDataWrite) {
   Assembler a("writer");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 3).StoreData(2, 0, 0, 8).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Writes(kShared));
   EXPECT_FALSE(summary.Reads(kShared));
 }
@@ -79,7 +79,7 @@ TEST(AccessSummaryTest, IndexedVariantsRecordAccessesToo) {
       .LoadDataIndexed(3, 2, 0)
       .StoreDataIndexed(2, 3, 0)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Reads(kShared));
   EXPECT_TRUE(summary.Writes(kShared));
 }
@@ -87,7 +87,7 @@ TEST(AccessSummaryTest, IndexedVariantsRecordAccessesToo) {
 TEST(AccessSummaryTest, LoadAdRecordsAccessPartRead) {
   Assembler a("ad_reader");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 3).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Reads(kCarrier, ObjectPart::kAccess));
   EXPECT_FALSE(summary.Reads(kCarrier, ObjectPart::kData));
 }
@@ -95,7 +95,7 @@ TEST(AccessSummaryTest, LoadAdRecordsAccessPartRead) {
 TEST(AccessSummaryTest, StoreAdRecordsAccessPartWrite) {
   Assembler a("ad_writer");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 3).StoreAd(2, 1, 0).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Writes(kShared, ObjectPart::kAccess));
   EXPECT_FALSE(summary.Writes(kShared, ObjectPart::kData));
 }
@@ -103,7 +103,7 @@ TEST(AccessSummaryTest, StoreAdRecordsAccessPartWrite) {
 TEST(AccessSummaryTest, DestroyWritesBothParts) {
   Assembler a("destroyer");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 3).DestroyObject(2).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Writes(kShared, ObjectPart::kData));
   EXPECT_TRUE(summary.Writes(kShared, ObjectPart::kAccess));
 }
@@ -113,7 +113,7 @@ TEST(AccessSummaryTest, CreateObjectRecordsNoAccess) {
   // object touch nothing any pre-existing summary could name.
   Assembler a("allocator");
   a.MoveAd(1, kArgAdReg).CreateObject(2, 1, 32).StoreData(2, 0, 0, 8).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.accesses.empty());
   EXPECT_FALSE(summary.has_unresolved_access);
 }
@@ -122,7 +122,7 @@ TEST(AccessSummaryTest, UnresolvedContainerSetsFlagWithoutEntries) {
   // A store through a received message could hit any object: flagged, never enumerated.
   Assembler a("blind_writer");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).Receive(3, 2).StoreData(3, 0, 0, 8).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.has_unresolved_access);
   EXPECT_EQ(FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared), nullptr);
 }
@@ -135,7 +135,7 @@ TEST(AccessSummaryTest, RecvsBeforeRecordsBlockingReceive) {
       .Receive(4, 2)
       .LoadData(0, 3, 0, 8)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kRead, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -150,7 +150,7 @@ TEST(AccessSummaryTest, AccessBeforeReceiveHasNoRecvsBefore) {
       .LoadData(0, 3, 0, 8)    // before the receive
       .Receive(4, 2)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kRead, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -166,7 +166,7 @@ TEST(AccessSummaryTest, CondReceiveCarriesNoMustReceive) {
       .CondReceive(4, 2, 0)
       .LoadData(0, 3, 0, 8)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kRead, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -190,7 +190,7 @@ TEST(AccessSummaryTest, AmbiguousReceivePortCarriesNoMustReceive) {
       .Receive(4, 2)
       .LoadData(0, 3, 0, 8)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kRead, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -205,7 +205,7 @@ TEST(AccessSummaryTest, SendsAfterStraightLine) {
       .StoreData(3, 0, 0, 8)
       .Send(2, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -224,7 +224,7 @@ TEST(AccessSummaryTest, SendsAfterIntersectsAcrossPaths) {
       .Send(2, 1)
       .Bind(skip)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -246,7 +246,7 @@ TEST(AccessSummaryTest, SendsAfterHoldsWhenEveryPathSends) {
       .Send(2, 1)
       .Bind(done)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -262,7 +262,7 @@ TEST(AccessSummaryTest, CondSendNeverEntersSendsAfter) {
       .StoreData(3, 0, 0, 8)
       .CondSend(2, 1, 0)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -286,7 +286,7 @@ TEST(AccessSummaryTest, AmbiguousSendSiteExcludedFromSendsAfter) {
       .Bind(join)
       .Send(2, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);
@@ -303,7 +303,7 @@ TEST(AccessSummaryTest, NativeProgramSkipsSendsAfter) {
       .Native([](ExecutionContext&) -> Result<NativeResult> { return NativeResult{}; })
       .Send(2, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.has_native);
   for (const ObjectAccess& access : summary.accesses) {
     EXPECT_TRUE(access.sends_after.empty());
@@ -324,7 +324,7 @@ TEST(AccessSummaryTest, AccessesCoverEveryCandidateOfTheSet) {
       .Bind(join)
       .StoreData(2, 0, 0, 8)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.Writes(kShared));
   EXPECT_TRUE(summary.Writes(kOther));
   EXPECT_FALSE(summary.has_unresolved_access);
@@ -333,7 +333,7 @@ TEST(AccessSummaryTest, AccessesCoverEveryCandidateOfTheSet) {
 TEST(AccessSummaryTest, DisassemblyIsAnchoredToTheSite) {
   Assembler a("annotated");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 3).StoreData(2, 0, 0, 8).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const ObjectAccess* access =
       FindAccess(summary, AccessKind::kWrite, ObjectPart::kData, kShared);
   ASSERT_NE(access, nullptr);

@@ -55,7 +55,7 @@ TEST(EffectsTest, SendResolvesThroughMoveAndLoadChain) {
       .MoveAd(3, 2)       // chase one more move
       .Send(3, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.SendsTo(kPortA));
   EXPECT_FALSE(summary.has_unresolved_send);
   const PortUse* use = FindUse(summary, PortOp::kSend, kPortA);
@@ -67,7 +67,7 @@ TEST(EffectsTest, SendResolvesThroughMoveAndLoadChain) {
 TEST(EffectsTest, ReceiveResolvesAndIsBlocking) {
   Assembler a("consumer");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 1).Receive(4, 2).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.ReceivesFrom(kPortB));
   const PortUse* use = FindUse(summary, PortOp::kReceive, kPortB);
   ASSERT_NE(use, nullptr);
@@ -81,7 +81,7 @@ TEST(EffectsTest, CondVariantsAreGuarded) {
       .CondSend(2, 1, 0)
       .CondReceive(3, 2, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const PortUse* send = FindUse(summary, PortOp::kSend, kPortA);
   const PortUse* recv = FindUse(summary, PortOp::kReceive, kPortA);
   ASSERT_NE(send, nullptr);
@@ -95,7 +95,7 @@ TEST(EffectsTest, UnseededArgumentLeavesUsesUnresolved) {
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).Send(2, 1).Receive(3, 2).Halt();
   EffectOptions options = WorldOptions();
   options.initial_arg = AccessDescriptor();  // a7 unknown
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), options);
+  EffectSummary summary = AnalyzeProgram(*a.Build(), options).effects;
   EXPECT_TRUE(summary.has_unresolved_send);
   EXPECT_TRUE(summary.has_unresolved_receive);
   EXPECT_NE(FindUse(summary, PortOp::kSend, kUnresolvedPort), nullptr);
@@ -109,7 +109,7 @@ TEST(EffectsTest, ClearedRegisterRecordsNoUse) {
       .ClearAd(2)   // the send below faults at run time; statically it reaches no port
       .Send(2, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.uses.empty());
   EXPECT_FALSE(summary.has_unresolved_send);
 }
@@ -120,7 +120,7 @@ TEST(EffectsTest, FreshObjectIsNeverAPreexistingPort) {
       .CreateObject(2, 1, 32)  // a2 = brand-new object
       .Send(2, 1)              // cannot name any existing port
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.uses.empty());
 }
 
@@ -131,7 +131,7 @@ TEST(EffectsTest, NativeStepHavocsResolutionAndFlagsSummary) {
       .LoadAd(2, 1, 0)
       .Send(2, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.has_native);
   EXPECT_TRUE(summary.may_not_terminate);
   EXPECT_TRUE(summary.has_unresolved_send);
@@ -142,11 +142,11 @@ TEST(EffectsTest, LoopSetsMayNotTerminate) {
   Assembler looping("looping");
   auto loop = looping.NewLabel();
   looping.MoveAd(1, kArgAdReg).Bind(loop).Compute(10).Branch(loop);
-  EXPECT_TRUE(EffectAnalyzer::Analyze(*looping.Build(), WorldOptions()).may_not_terminate);
+  EXPECT_TRUE(AnalyzeProgram(*looping.Build(), WorldOptions()).effects.may_not_terminate);
 
   Assembler straight("straight");
   straight.MoveAd(1, kArgAdReg).Compute(10).Halt();
-  EXPECT_FALSE(EffectAnalyzer::Analyze(*straight.Build(), WorldOptions()).may_not_terminate);
+  EXPECT_FALSE(AnalyzeProgram(*straight.Build(), WorldOptions()).effects.may_not_terminate);
 }
 
 TEST(EffectsTest, MustSendsBeforeAReceiveAreRecorded) {
@@ -157,7 +157,7 @@ TEST(EffectsTest, MustSendsBeforeAReceiveAreRecorded) {
       .Send(2, 1)       // request goes out on every path
       .Receive(4, 3)    // then block for the reply
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const PortUse* recv = FindUse(summary, PortOp::kReceive, kPortB);
   ASSERT_NE(recv, nullptr);
   ASSERT_EQ(recv->sends_before.size(), 1u);
@@ -179,7 +179,7 @@ TEST(EffectsTest, MustSendsIntersectAcrossPaths) {
       .Bind(join)
       .Receive(4, 2)             // no send is guaranteed here
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const PortUse* recv = FindUse(summary, PortOp::kReceive, kPortA);
   ASSERT_NE(recv, nullptr);
   EXPECT_TRUE(recv->sends_before.empty());
@@ -198,7 +198,7 @@ TEST(EffectsTest, JoinUnionsPortCandidates) {
       .Bind(join)
       .Send(2, 1)       // may hit either port: both must be recorded
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.SendsTo(kPortA));
   EXPECT_TRUE(summary.SendsTo(kPortB));
   EXPECT_FALSE(summary.has_unresolved_send);
@@ -212,7 +212,7 @@ TEST(EffectsTest, StoreAdInvalidatesSnapshotResolution) {
       .LoadAd(3, 1, 1)   // must NOT resolve to the stale port B
       .Send(3, 1)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_FALSE(summary.SendsTo(kPortB));
   EXPECT_TRUE(summary.has_unresolved_send);
 }
@@ -224,7 +224,7 @@ TEST(EffectsTest, DomainCallEntryResolvesToSegment) {
       .Halt();
   EffectOptions options = WorldOptions();
   options.initial_arg = Ad(kDomain);
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), options);
+  EffectSummary summary = AnalyzeProgram(*a.Build(), options).effects;
   ASSERT_EQ(summary.calls.size(), 1u);
   EXPECT_EQ(summary.calls[0].callee_segment, kSegment);
   EXPECT_EQ(summary.calls[0].entry, 0u);
@@ -236,7 +236,7 @@ TEST(EffectsTest, TimedReceiveIsAGuardedReceiveThroughA7) {
       .LoadImm(7, 1000)
       .OsCall(/*kTimedReceive=*/5)
       .Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   const PortUse* use = FindUse(summary, PortOp::kReceive, kPortA);
   ASSERT_NE(use, nullptr);
   EXPECT_FALSE(use->blocking);  // the timeout fault bounds the wait
@@ -246,7 +246,7 @@ TEST(EffectsTest, TimedReceiveIsAGuardedReceiveThroughA7) {
 TEST(EffectsTest, UnknownOsServiceIsOpaque) {
   Assembler a("pkg_call");
   a.MoveAd(1, kArgAdReg).OsCall(/*some package service=*/16).LoadAd(2, 1, 0).Send(2, 1).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions());
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
   EXPECT_TRUE(summary.has_native);
   EXPECT_TRUE(summary.has_unresolved_send);
 }
@@ -256,7 +256,7 @@ TEST(EffectsTest, DisassemblyIsAnchoredAndNamesThePort) {
   symbols.Name(kPortA, "ring.0");
   Assembler a("named");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).Receive(4, 2).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), WorldOptions(&symbols));
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions(&symbols)).effects;
   const PortUse* use = FindUse(summary, PortOp::kReceive, kPortA);
   ASSERT_NE(use, nullptr);
   EXPECT_NE(use->disasm.find("0002"), std::string::npos) << use->disasm;
@@ -278,8 +278,8 @@ TEST(EffectsTest, OptionsForTableChaseRealAccessParts) {
 
   Assembler a("table_backed");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).Send(2, 1).Halt();
-  EffectSummary summary = EffectAnalyzer::Analyze(
-      *a.Build(), EffectOptionsForTable(table, carrier_ad.value()));
+  EffectSummary summary = AnalyzeProgram(
+      *a.Build(), EffectOptionsForTable(table, carrier_ad.value())).effects;
   EXPECT_TRUE(summary.SendsTo(port.value()));
 }
 
@@ -312,7 +312,7 @@ Assembler DiamondChain(uint32_t diamonds) {
 }
 
 TEST(EffectsTest, ConditionalMoveChainUnionsBothCandidates) {
-  EffectSummary summary = EffectAnalyzer::Analyze(*DiamondChain(1).Build(), WideWorldOptions());
+  EffectSummary summary = AnalyzeProgram(*DiamondChain(1).Build(), WideWorldOptions()).effects;
   EXPECT_TRUE(summary.SendsTo(100));
   EXPECT_TRUE(summary.SendsTo(101));
   EXPECT_FALSE(summary.has_unresolved_send);
@@ -320,7 +320,7 @@ TEST(EffectsTest, ConditionalMoveChainUnionsBothCandidates) {
 
 TEST(EffectsTest, CandidateSetStaysResolvedUpToTheBound) {
   // Seven diamonds leave eight candidates: exactly the cap, still fully resolved.
-  EffectSummary summary = EffectAnalyzer::Analyze(*DiamondChain(7).Build(), WideWorldOptions());
+  EffectSummary summary = AnalyzeProgram(*DiamondChain(7).Build(), WideWorldOptions()).effects;
   for (ObjectIndex port = 100; port < 108; ++port) {
     EXPECT_TRUE(summary.SendsTo(port)) << "port " << port;
   }
@@ -330,7 +330,7 @@ TEST(EffectsTest, CandidateSetStaysResolvedUpToTheBound) {
 TEST(EffectsTest, CandidateSetBeyondTheBoundSaturatesToUnresolved) {
   // Nine diamonds would need ten candidates: the set saturates and the send degrades to
   // "some port" rather than silently dropping candidates.
-  EffectSummary summary = EffectAnalyzer::Analyze(*DiamondChain(9).Build(), WideWorldOptions());
+  EffectSummary summary = AnalyzeProgram(*DiamondChain(9).Build(), WideWorldOptions()).effects;
   EXPECT_TRUE(summary.has_unresolved_send);
   for (ObjectIndex port = 100; port < 110; ++port) {
     EXPECT_FALSE(summary.SendsTo(port)) << "port " << port;
@@ -361,13 +361,41 @@ TEST(EffectsTest, DomainCallHavocsOnlyTheArgumentRegister) {
     auto it = kSlots.find({index, slot});
     return it == kSlots.end() ? AccessDescriptor() : Ad(it->second);
   };
-  EffectSummary summary = EffectAnalyzer::Analyze(*a.Build(), options);
+  EffectSummary summary = AnalyzeProgram(*a.Build(), options).effects;
   EXPECT_TRUE(summary.SendsTo(kPortA));
   EXPECT_FALSE(summary.SendsTo(kPortB)) << "a7 must be havocked by the call";
   EXPECT_TRUE(summary.has_unresolved_send);
   // The callee itself is recorded for composition: the call site resolves to the segment.
   ASSERT_EQ(summary.calls.size(), 1u);
   EXPECT_EQ(summary.calls[0].callee_segment, kSegment);
+}
+
+TEST(EffectsTest, SendThroughAnAdLoadedBackFromAFreshObjectIsUnresolved) {
+  // A fresh object holds whatever the program stores into it, so the load back may name
+  // any object: the send cannot be pinned to a port and must not be silently dropped.
+  Assembler a("stash.sender");
+  a.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)            // a2 = port A
+      .CreateObject(4, 1, 8, 1)   // a4 = fresh object
+      .StoreAd(4, 2, 0)           // a4[0] = port A
+      .LoadAd(5, 4, 0)            // a5 = a4[0]
+      .Send(5, 1)
+      .Halt();
+  EffectSummary summary = AnalyzeProgram(*a.Build(), WorldOptions()).effects;
+  EXPECT_TRUE(summary.has_unresolved_send);
+  EXPECT_NE(FindUse(summary, PortOp::kSend, kUnresolvedPort), nullptr);
+}
+
+TEST(EffectsTest, DomainEntryAccessThroughA6IsUnresolved) {
+  // The call amplified a6 to the callee's own domain, which the segment alone cannot name:
+  // at a domain entry a6 may be any object. A process starts with a null a6.
+  Assembler a("package.entry");
+  a.LoadAd(2, kDomainAdReg, 1).Return();
+  ProgramRef program = a.Build();
+  EffectOptions options = WorldOptions();
+  options.kind = ProgramKind::kDomainEntry;
+  EXPECT_TRUE(AnalyzeProgram(*program, options).effects.has_unresolved_access);
+  EXPECT_FALSE(AnalyzeProgram(*program, WorldOptions()).effects.has_unresolved_access);
 }
 
 }  // namespace

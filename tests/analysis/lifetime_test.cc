@@ -36,7 +36,7 @@ EffectOptions WorldOptions() {
 }
 
 LifetimeSummary Analyze(Assembler& a) {
-  return LifetimeAnalyzer::Analyze(*a.Build(), WorldOptions());
+  return AnalyzeProgram(*a.Build(), WorldOptions()).lifetime;
 }
 
 // --- Phase 1: site detection and escape facts ---
@@ -192,7 +192,7 @@ TEST(LifetimeTest, SiblingStoreInheritsDemotabilityFromTarget) {
       .StoreAd(2, 3, 0)
       .Send(4, 2)
       .Halt();
-  LifetimeSummary escaped = LifetimeAnalyzer::Analyze(*b.Build(), WorldOptions());
+  LifetimeSummary escaped = AnalyzeProgram(*b.Build(), WorldOptions()).lifetime;
   EXPECT_TRUE(DemotableSites(escaped).empty());
 }
 
@@ -216,7 +216,7 @@ TEST(LifetimeTest, KnownOsServicesStayPreciseUnknownOnesAreOpaque) {
 
   Assembler b("package-call");
   b.MoveAd(1, kArgAdReg).CreateObject(2, 1, 16).OsCall(77).Halt();
-  LifetimeSummary opaque = LifetimeAnalyzer::Analyze(*b.Build(), WorldOptions());
+  LifetimeSummary opaque = AnalyzeProgram(*b.Build(), WorldOptions()).lifetime;
   EXPECT_TRUE(opaque.opaque);
   EXPECT_TRUE(DemotableSites(opaque).empty());
 }
@@ -319,8 +319,9 @@ struct World {
 
   void Add(ObjectIndex segment, Assembler& a) {
     ProgramRef program = a.Build();
-    graph.AddProgram(segment, EffectAnalyzer::Analyze(*program, WorldOptions()));
-    lifetimes.emplace(segment, LifetimeAnalyzer::Analyze(*program, WorldOptions()));
+    ProgramSummary summary = AnalyzeProgram(*program, WorldOptions());
+    graph.AddProgram(segment, std::move(summary.effects));
+    lifetimes.emplace(segment, std::move(summary.lifetime));
   }
 };
 

@@ -59,7 +59,7 @@ struct World {
   ObjectIndex Add(Assembler& a, ProgramKind kind = ProgramKind::kProcess,
                   ObjectIndex segment = kInvalidObjectIndex) {
     if (segment == kInvalidObjectIndex) segment = next_segment++;
-    graph.AddProgram(segment, EffectAnalyzer::Analyze(*a.Build(), WorldOptions()), kind);
+    graph.AddProgram(segment, AnalyzeProgram(*a.Build(), WorldOptions()).effects, kind);
     return segment;
   }
 
@@ -411,8 +411,8 @@ TEST(RacesTest, ReportMessageNamesProgramsAndObject) {
   Assembler w0 = Writer("alpha"), w1 = Writer("beta");
   world.graph.set_symbols(&symbols);
   // Re-summarize with symbols so disassembly picks up names.
-  world.graph.AddProgram(100, EffectAnalyzer::Analyze(*w0.Build(), WorldOptions(&symbols)));
-  world.graph.AddProgram(101, EffectAnalyzer::Analyze(*w1.Build(), WorldOptions(&symbols)));
+  world.graph.AddProgram(100, AnalyzeProgram(*w0.Build(), WorldOptions(&symbols)).effects);
+  world.graph.AddProgram(101, AnalyzeProgram(*w1.Build(), WorldOptions(&symbols)).effects);
   RaceAnalysisReport report = world.Analyze();
   ASSERT_EQ(report.diagnostics.size(), 1u);
   const RaceDiagnostic& diagnostic = report.diagnostics[0];

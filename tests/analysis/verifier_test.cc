@@ -204,7 +204,7 @@ TEST(VerifierTest, DomainEntryReturningLocalAdRejected) {
   // level at the return.
   ProgramRef program = a.Build();
   VerifyOptions options;
-  options.entry = VerifyOptions::EntryKind::kDomainEntry;
+  options.entry = ProgramKind::kDomainEntry;
   VerifyResult result = Verifier::Verify(*program, options);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(HasError(result, Rule::kLevelRule, 3)) << Render(*program, result);

@@ -260,5 +260,129 @@ TEST_F(LifetimeDemotionTest, AuditorIsAPureObserver) {
   EXPECT_EQ(run(false), run(true));
 }
 
+TEST_F(LifetimeDemotionTest, ReadBackThroughAFreshObjectRetractsTheLeak) {
+  // The reader parks the registry AD in an object it just created and reads the registry
+  // through the AD it loads back: the writer's object is read back, not leaked.
+  auto registry =
+      memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 8, 1, rights::kAll);
+  ASSERT_TRUE(registry.ok());
+  auto carrier =
+      memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 8, 2, rights::kAll);
+  ASSERT_TRUE(carrier.ok());
+  ASSERT_TRUE(machine_.addressing().WriteAd(carrier.value(), 0, registry.value()).ok());
+  ASSERT_TRUE(machine_.addressing().WriteAd(carrier.value(), 1, memory_.global_heap()).ok());
+  Assembler writer("registry.writer");
+  writer.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)         // a2 = the registry
+      .LoadAd(3, 1, 1)         // a3 = the global heap
+      .CreateObject(4, 3, 16)  // a4 = the entry
+      .StoreAd(2, 4, 0)        // registry[0] = the entry
+      .Halt();
+  Assembler reader("registry.reader");
+  reader.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)           // a2 = the registry
+      .LoadAd(3, 1, 1)           // a3 = the global heap
+      .CreateObject(4, 3, 8, 1)  // a4 = the stash
+      .StoreAd(4, 2, 0)          // stash[0] = the registry
+      .LoadAd(5, 4, 0)           // a5 = the registry, loaded back
+      .LoadAd(2, 5, 0)           // a2 = registry[0]: the writer's entry
+      .LoadImm(0, 42)
+      .StoreData(2, 0, 0, 8)     // mark the entry, so the run shows the read-back
+      .Halt();
+  AccessDescriptor writing = Spawn(writer.Build(), carrier.value());
+  kernel_.Run();
+  AccessDescriptor reading = Spawn(reader.Build(), carrier.value());
+  kernel_.Run();
+
+  analysis::LifetimeAnalysisReport report = kernel_.AnalyzeLifetimes();
+  EXPECT_TRUE(report.leaks.empty()) << analysis::FormatLifetimeReport(report);
+  EXPECT_EQ(report.leaks_suppressed, 1u);
+
+  // Ground truth: the reader reached the writer's entry through the registry.
+  EXPECT_EQ(kernel_.process_view(writing).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.process_view(reading).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 0u);
+  auto entry = machine_.addressing().ReadAd(registry.value(), 0);
+  ASSERT_TRUE(entry.ok());
+  auto mark = machine_.addressing().ReadData(entry.value(), 0, 8);
+  ASSERT_TRUE(mark.ok());
+  EXPECT_EQ(mark.value(), 42u);
+  EXPECT_EQ(kernel_.stats().lifetime_violations, 0u);
+}
+
+// What a run of a package publishing into its state leaves behind: the entry loads a global
+// registry from its domain state, creates an object from the caller's SRO and stores it into
+// the registry.
+struct PublishOutcome {
+  uint64_t faults_delivered = 0;
+  uint64_t demotions = 0;
+  bool published = false;
+};
+
+PublishOutcome RunPublish(bool demote) {
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  Kernel kernel(&machine, &memory);
+  EXPECT_TRUE(kernel.AddProcessors(1).ok());
+  kernel.set_verify_on_load(true);
+  kernel.set_lifetime_demote(demote);
+  kernel.EnableLifetimeAuditor();
+  auto registry =
+      memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 1, rights::kAll);
+  EXPECT_TRUE(registry.ok());
+
+  Assembler publish("package.publish");
+  publish.LoadAd(2, kDomainAdReg, 1)   // a2 = the registry (state slot 0)
+      .CreateObject(3, kArgAdReg, 16)  // a3 = a fresh object from the caller's SRO
+      .StoreAd(2, 3, 0)                // registry[0] = a3: escapes the activation
+      .Return();
+  auto segment = kernel.programs().Register(publish.Build());
+  EXPECT_TRUE(segment.ok());
+  auto domain = kernel.CreateDomain({segment.value()}, /*state_slots=*/1);
+  EXPECT_TRUE(domain.ok()) << FaultName(domain.fault());
+  EXPECT_TRUE(kernel.SetDomainState(domain.value(), 0, registry.value()).ok());
+
+  // Client carrier: slot 0 = the package, slot 1 = the global heap.
+  auto carrier =
+      memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2, rights::kAll);
+  EXPECT_TRUE(carrier.ok());
+  EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 0, domain.value()).ok());
+  EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 1, memory.global_heap()).ok());
+  Assembler client("package.client");
+  client.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)          // a2 = the package
+      .LoadAd(kArgAdReg, 1, 1)  // a7 = the global heap, the call's argument
+      .Call(2, 0)
+      .Halt();
+  ProcessOptions options;
+  options.initial_arg = carrier.value();
+  auto process = kernel.CreateProcess(client.Build(), options);
+  EXPECT_TRUE(process.ok()) << FaultName(process.fault());
+  EXPECT_TRUE(kernel.StartProcess(process.value()).ok());
+  kernel.Run();
+  EXPECT_EQ(kernel.process_view(process.value()).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel.stats().lifetime_violations, 0u);
+
+  PublishOutcome outcome;
+  outcome.faults_delivered = kernel.stats().faults_delivered;
+  outcome.demotions = kernel.stats().demotions;
+  auto published = machine.addressing().ReadAd(registry.value(), 0);
+  outcome.published = published.ok() && !published.value().is_null();
+  return outcome;
+}
+
+TEST_F(LifetimeDemotionTest, PackagePublishingIntoItsStateIsNotDemoted) {
+  // The entry's store goes through a6, the package's own domain: the allocation escapes the
+  // activation, so demotion must leave the run exactly as it is without demotion.
+  const PublishOutcome plain = RunPublish(false);
+  EXPECT_EQ(plain.faults_delivered, 0u);
+  EXPECT_TRUE(plain.published);
+
+  const PublishOutcome demoted = RunPublish(true);
+  EXPECT_EQ(demoted.faults_delivered, 0u);
+  EXPECT_TRUE(demoted.published);
+  EXPECT_EQ(demoted.demotions, 0u);
+}
+
 }  // namespace
 }  // namespace imax432

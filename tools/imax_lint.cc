@@ -1,7 +1,8 @@
 // imax_lint: offline static analysis for iMAX-432 programs.
 //
 // Boots a representative system configuration — GC daemon, fault service, pass-through
-// scheduler, console device server, plus a quickstart-style producer/consumer pair — then
+// scheduler, console device server, a quickstart-style producer/consumer pair, and a
+// package (a protection domain with a private port, its client and a listener) — then
 // sweeps every instruction segment in the program store through the static verifier
 // (src/analysis) and prints a disassembly-annotated diagnostic report. See --help for the
 // modes and the exit-code contract (CI gates on it).
@@ -282,7 +283,7 @@ int RunDeadlockChecks(System& system, bool dump) {
     analysis::EffectOptions options =
         analysis::EffectOptionsForTable(system.machine().table(), carrier, &symbols);
     if (dump) std::fputs(Disassemble(program).c_str(), stdout);
-    graph.AddProgram(next_key++, analysis::EffectAnalyzer::Analyze(program, options));
+    graph.AddProgram(next_key++, analysis::AnalyzeProgram(program, options).effects);
   };
 
   // The ring: each member blocks receiving from its own port, then forwards to the next.
@@ -423,7 +424,7 @@ int RunRaceChecks(System& system, bool dump) {
     analysis::EffectOptions options = analysis::EffectOptionsForTable(
         system.machine().table(), carrier.value(), &symbols);
     if (dump) std::fputs(Disassemble(program).c_str(), stdout);
-    graph.AddProgram(next_key++, analysis::EffectAnalyzer::Analyze(program, options));
+    graph.AddProgram(next_key++, analysis::AnalyzeProgram(program, options).effects);
   };
 
   // Two writers, no communication at all: must be reported.
@@ -592,8 +593,9 @@ int RunLifetimeChecks(System& system, bool dump) {
     analysis::EffectOptions options = analysis::EffectOptionsForTable(
         system.machine().table(), carrier.value(), &symbols);
     if (dump) std::fputs(Disassemble(program).c_str(), stdout);
-    graph.AddProgram(next_key, analysis::EffectAnalyzer::Analyze(program, options));
-    lifetimes[next_key] = analysis::LifetimeAnalyzer::Analyze(program, options);
+    analysis::ProgramSummary summary = analysis::AnalyzeProgram(program, options);
+    graph.AddProgram(next_key, std::move(summary.effects));
+    lifetimes[next_key] = std::move(summary.lifetime);
     ++next_key;
   };
 
@@ -991,16 +993,62 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Sweep every instruction segment now registered in the program store. Process programs
-  // are analyzed as process entries with an unknown initial argument, which is weaker than
-  // what the kernel proved at load time and therefore cannot produce extra rejections.
+  // A package, the paper's small protection domain: its entry forwards the caller's
+  // argument to a private port it reaches only through its own domain (a6), a client calls
+  // the entry, and a listener drains the port.
+  Kernel& kernel = system.kernel();
+  auto package_port =
+      kernel.ports().CreatePort(system.memory().global_heap(), 8, QueueDiscipline::kFifo);
+  Assembler notify("package.notify");
+  notify.LoadAd(2, kDomainAdReg, 1)  // a2 = the package's port (state slot 0)
+      .Send(2, kArgAdReg)
+      .Return();
+  auto notify_segment = kernel.programs().Register(notify.Build());
+  if (!package_port.ok() || !notify_segment.ok()) return 1;
+  kernel.symbols().Name(package_port.value().index(), "package.port");
+  auto package = kernel.CreateDomain({notify_segment.value()}, /*state_slots=*/1);
+  auto package_carrier = system.memory().CreateObject(system.memory().global_heap(),
+                                                      SystemType::kGeneric, 16, 2,
+                                                      rights::kRead | rights::kWrite);
+  if (!package.ok() || !package_carrier.ok() ||
+      !kernel.SetDomainState(package.value(), 0, package_port.value()).ok()) {
+    std::fprintf(stderr, "imax_lint: the package failed to load\n");
+    return 1;
+  }
+  (void)system.machine().addressing().WriteAd(package_carrier.value(), 0, package.value());
+  (void)system.machine().addressing().WriteAd(package_carrier.value(), 1,
+                                              system.memory().global_heap());
+  Assembler client("package.client");
+  client.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)                // a2 = the package
+      .LoadAd(3, 1, 1)                // a3 = the global heap
+      .CreateObject(kArgAdReg, 3, 8)  // a7 = the message
+      .Call(2, 0)
+      .Halt();
+  Assembler listener("package.listener");
+  listener.MoveAd(1, kArgAdReg).Receive(2, 1).Halt();
+  ProcessOptions client_options;
+  client_options.initial_arg = package_carrier.value();
+  ProcessOptions listener_options;
+  listener_options.initial_arg = package_port.value();
+  if (!system.Spawn(client.Build(), client_options).ok() ||
+      !system.Spawn(listener.Build(), listener_options).ok()) {
+    std::fprintf(stderr, "imax_lint: verify-on-load rejected a package program\n");
+    return 1;
+  }
+
+  // Sweep every instruction segment now registered in the program store, each as the kind
+  // of entry the kernel loaded it as and with an unknown initial argument, which is weaker
+  // than what the kernel proved at load time and therefore cannot produce extra rejections.
   std::printf("imax_lint: %u instruction segments registered\n\n",
               static_cast<uint32_t>(system.machine().table().live_count()));
   int errors = 0;
   int programs = 0;
-  system.kernel().programs().ForEach([&](ObjectIndex, const Program& program) {
+  kernel.programs().ForEach([&](ObjectIndex segment, const Program& program) {
     ++programs;
-    int program_errors = LintProgram(program, analysis::VerifyOptions{}, dump);
+    analysis::VerifyOptions sweep_options;
+    sweep_options.entry = kernel.load_facts(segment).kind;
+    int program_errors = LintProgram(program, sweep_options, dump);
     errors += program_errors;
     AddFinding("verifier", program.name(), program_errors == 0 ? "clean" : "rejected",
                program_errors == 0 ? ""
