@@ -1562,7 +1562,9 @@ void Kernel::TerminateProcess(ProcessView& proc, bool faulted) {
   AccessDescriptor context = proc.context();
   AddressingUnit& au = machine_->addressing();
   while (!context.is_null()) {
-    if (!machine_->table().Resolve(context).ok()) {
+    // User code holding its process or context AD can store any object into the context or
+    // caller slot; the walk ends at the first AD that is not a live context.
+    if (!IsLiveContext(context)) {
       break;
     }
     ContextView ctx(&au, context);

@@ -108,8 +108,8 @@ class Journal {
   const JournalStats& stats() const { return stats_; }
   StableStore& device() { return *device_; }
 
-  // Encodes one record (exposed so tests and the lint corrupt-journal corpus can forge
-  // orphan commits and truncated records without a Journal instance).
+  // Encodes one record (exposed so tests can forge orphan commits and truncated records
+  // without a Journal instance).
   static std::vector<uint8_t> EncodeRecord(uint64_t seq, JournalRecordType type,
                                            const std::vector<uint8_t>& payload);
 

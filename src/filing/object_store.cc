@@ -24,7 +24,7 @@ void PutBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& bytes) {
 }
 
 // Bounds-checked sequential reader. The journal CRC already vouches for payload integrity,
-// but a checkpoint forged by the lint corpus (or a future format revision) must fail with
+// but a checkpoint forged by a test (or a future format revision) must fail with
 // kFilingFormatError, never with an out-of-range read.
 struct Cursor {
   const std::vector<uint8_t>& buf;

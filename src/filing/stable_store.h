@@ -103,7 +103,7 @@ class StableStore {
   void SetPermanentFailure(bool failed) { permanent_failure_ = failed; }
   bool permanent_failure() const { return permanent_failure_; }
 
-  // --- Corpus seeding (tests and the imax_lint journal-integrity pass) ---
+  // --- Corpus seeding (tests) ---
   // Flips bits in a durable byte (simulated media rot under a committed record).
   void CorruptDurable(size_t offset, uint8_t mask) {
     if (offset < durable_.size()) {

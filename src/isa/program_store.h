@@ -97,6 +97,8 @@ class ProgramStore {
   // program payloads are keyed on it: any store mutation invalidates them wholesale.
   uint64_t version() const { return version_; }
 
+  size_t size() const { return programs_.size(); }
+
   // Visits every registered program as (segment object index, program) — offline tools like
   // imax_lint use this to sweep all code loaded into a running system.
   template <typename Fn>

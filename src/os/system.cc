@@ -18,7 +18,7 @@ System::System(const SystemConfig& config)
     machine_.profiler().Enable(config.profile_sample_period);
   }
   if (config.span_trace) {
-    machine_.spans().Enable(config.span_capacity);
+    machine_.spans().Enable();
   }
   // §6.2: one memory specification, two implementations; the system is configured by
   // selecting one, and nothing downstream changes.
@@ -107,7 +107,7 @@ System::System(const SystemConfig& config)
   }
 
   if (config.start_patrol_daemon) {
-    auto request_port = patrol_->SpawnDaemon(config.patrol_units_per_step);
+    auto request_port = patrol_->SpawnDaemon();
     IMAX_CHECK(request_port.ok());
     patrol_request_port_ = request_port.value();
   }

@@ -63,7 +63,6 @@ struct SystemConfig {
   // patrol().SweepNow(). Off by default — the patrol only earns its cycles when faults are
   // being injected (or real corruption is suspected).
   bool start_patrol_daemon = false;
-  uint32_t patrol_units_per_step = 256;
   // GC-load demotion (src/analysis/lifetime): allocations the static lifetime analysis
   // proves context-local are taken from a per-context demote SRO, marked GC-exempt (the
   // collector never traces or sweeps them), and bulk-destroyed at context exit. Requires
@@ -87,7 +86,6 @@ struct SystemConfig {
   // Causal span tracing (src/obs/span.h): Dapper-style request trees over port sends,
   // direct handoffs, domain calls and process spawns. Pure observer, same guarantee.
   bool span_trace = false;
-  uint32_t span_capacity = 1 << 20;
 
   // Stable device backing the filing system's write-ahead journal (src/filing/journal.h).
   // Non-owned: the device outlives the System — that is the whole point. A crash-restart

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/analysis/deadlock.h"
 #include "src/exec/kernel.h"
@@ -155,6 +156,21 @@ TEST_F(AnalyzeSystemTest, LoneReceiverIsReportedStarved) {
   EXPECT_EQ(report.diagnostics[0].rule, analysis::SystemRule::kStarvedPort);
   // The symbol table name reaches the diagnostic text.
   EXPECT_NE(report.diagnostics[0].message.find("'inbox'"), std::string::npos)
+      << report.diagnostics[0].message;
+}
+
+TEST_F(AnalyzeSystemTest, LoneSendersPortIsReportedOrphan) {
+  AccessDescriptor port = MakePort("outbox");
+  Assembler a("sender");
+  a.MoveAd(1, kArgAdReg).Send(1, 1).Halt();
+  ProcessOptions options;
+  options.initial_arg = port;
+  ASSERT_TRUE(kernel_.CreateProcess(a.Build(), options).ok());
+  analysis::SystemAnalysisReport report = kernel_.AnalyzeSystem();
+  ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].rule, analysis::SystemRule::kOrphanPort);
+  EXPECT_EQ(report.diagnostics[0].ports, std::vector<ObjectIndex>{port.index()});
+  EXPECT_NE(report.diagnostics[0].message.find("'outbox'"), std::string::npos)
       << report.diagnostics[0].message;
 }
 

@@ -1093,24 +1093,22 @@ TEST_F(KernelTest, ReturningToADestroyedCallerFaults) {
   EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
 }
 
-// A process holding its own process AD stores a generic object into its dispatch-port slot
-// and then runs `tail`. Requeueing it at the end of its time slice or after a yield fails
-// with kTypeMismatch, which is raised on the process instead of aborting the host.
-AccessDescriptor SpawnWithBogusDispatchPort(Machine& machine, BasicMemoryManager& memory,
-                                            Kernel& kernel,
-                                            const std::function<void(Assembler&)>& tail,
-                                            ProcessOptions options = {}) {
+// A process whose carrier holds its own process AD (read+write from CreateProcess) and a
+// generic object. Its program loads them into a2 and a3, then runs `body`.
+AccessDescriptor SpawnHoldingItsProcess(Machine& machine, BasicMemoryManager& memory,
+                                        Kernel& kernel,
+                                        const std::function<void(Assembler&)>& body,
+                                        ProcessOptions options = {}) {
   auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
                                      rights::kRead | rights::kWrite);
   auto bogus = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 0,
                                    rights::kRead | rights::kWrite);
   EXPECT_TRUE(carrier.ok() && bogus.ok());
-  Assembler a("bogus-dispatch-port");
+  Assembler a("holds-its-process");
   a.MoveAd(1, kArgAdReg)
-      .LoadAd(2, 1, 0)  // a2 = this process
-      .LoadAd(3, 1, 1)  // a3 = a generic object
-      .StoreAd(2, 3, ProcessLayout::kSlotDispatchPort);
-  tail(a);
+      .LoadAd(2, 1, 0)   // a2 = this process
+      .LoadAd(3, 1, 1);  // a3 = a generic object
+  body(a);
   options.initial_arg = carrier.value();
   auto process = kernel.CreateProcess(a.Build(), options);
   EXPECT_TRUE(process.ok());
@@ -1120,12 +1118,15 @@ AccessDescriptor SpawnWithBogusDispatchPort(Machine& machine, BasicMemoryManager
   return process.value();
 }
 
+// The process stores the generic object into its dispatch-port slot. Requeueing it at the
+// end of its time slice or after a yield fails with kTypeMismatch, which is raised on the
+// process instead of aborting the host.
 TEST_F(KernelTest, SliceEndWithANonPortDispatchPortFaults) {
   ASSERT_TRUE(kernel_.AddProcessors(1).ok());
   AccessDescriptor process =
-      SpawnWithBogusDispatchPort(machine_, memory_, kernel_, [](Assembler& a) {
+      SpawnHoldingItsProcess(machine_, memory_, kernel_, [](Assembler& a) {
         auto loop = a.NewLabel();
-        a.Bind(loop).Compute(1000).Branch(loop);
+        a.StoreAd(2, 3, ProcessLayout::kSlotDispatchPort).Bind(loop).Compute(1000).Branch(loop);
       });
   kernel_.Run();
   EXPECT_EQ(kernel_.stats().time_slice_ends, 1u);
@@ -1141,8 +1142,11 @@ TEST_F(KernelTest, YieldWithANonPortDispatchPortFaults) {
   ASSERT_TRUE(fault_port.ok());
   ProcessOptions options;
   options.fault_port = fault_port.value();
-  AccessDescriptor process = SpawnWithBogusDispatchPort(
-      machine_, memory_, kernel_, [](Assembler& a) { a.OsCall(os_service::kYield).Halt(); },
+  AccessDescriptor process = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_,
+      [](Assembler& a) {
+        a.StoreAd(2, 3, ProcessLayout::kSlotDispatchPort).OsCall(os_service::kYield).Halt();
+      },
       options);
   kernel_.Run();
   EXPECT_EQ(View(process).state(), ProcessState::kFaulted);
@@ -1151,6 +1155,38 @@ TEST_F(KernelTest, YieldWithANonPortDispatchPortFaults) {
   auto queued = kernel_.ports().Dequeue(fault_port.value());
   ASSERT_TRUE(queued.ok());
   EXPECT_TRUE(queued.value().SameObject(process));
+}
+
+// The process stores the generic object into its context slot. The next instruction faults
+// with kInvalidAccess, and with no fault port the teardown walks a context chain that starts
+// at a non-context: it stops there instead of aborting the host.
+TEST_F(KernelTest, TerminatingWithANonContextInTheContextSlotStops) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor process =
+      SpawnHoldingItsProcess(machine_, memory_, kernel_, [](Assembler& a) {
+        a.StoreAd(2, 3, ProcessLayout::kSlotContext).Halt();
+      });
+  kernel_.Run();
+  EXPECT_EQ(View(process).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(process).fault_code(), Fault::kInvalidAccess);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
+}
+
+// The process stores the generic object into its current context's caller slot and halts:
+// the teardown's walk up the caller chain stops at the non-context.
+TEST_F(KernelTest, TerminatingWithANonContextCallerStops) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor process =
+      SpawnHoldingItsProcess(machine_, memory_, kernel_, [](Assembler& a) {
+        a.LoadAd(4, 2, ProcessLayout::kSlotContext)  // a4 = the current context
+            .StoreAd(4, 3, ContextLayout::kSlotCaller)
+            .Halt();
+      });
+  kernel_.Run();
+  EXPECT_EQ(View(process).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 0u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
 }
 
 TEST(KernelPinningTest, PatrolSweepsDuringATwoGdpLoopFindNothing) {

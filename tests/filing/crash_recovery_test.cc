@@ -106,6 +106,43 @@ TEST(CrashRecoveryTest, SystemBootSurvivesGarbageJournal) {
   EXPECT_GT(system.journal()->stats().corrupt_records_dropped, 0u);
 }
 
+TEST(CrashRecoveryTest, SystemBootRecoversTheSealedPrefixOfATornLog) {
+  // A System files three objects: its log is the boot checkpoint and three sealed
+  // transactions. A power cut 30 bytes before the end tears the third transaction; the
+  // checkpoint and the first two replay.
+  SystemConfig config;
+  config.processors = 1;
+  config.machine.memory_bytes = 96 * 1024;
+  StableStore healthy;
+  {
+    config.stable_store = &healthy;
+    System first(config);
+    auto object = first.kernel().memory().CreateObject(
+        first.kernel().memory().global_heap(), SystemType::kGeneric, 16, 0,
+        rights::kRead | rights::kWrite);
+    ASSERT_TRUE(object.ok());
+    for (const char* name : {"one", "two", "three"}) {
+      ASSERT_TRUE(first.filing().File(name, object.value()).ok());
+    }
+    first.machine().events().RunUntilIdle();  // let the journal syncs complete
+  }
+  StableStore torn;
+  const std::vector<uint8_t>& image = healthy.durable_bytes();
+  torn.LoadImage(image);
+  torn.TruncateDurable(image.size() - 30);
+
+  config.stable_store = &torn;
+  System recovered(config);
+  EXPECT_TRUE(recovered.filing_recovery_status().ok());
+  EXPECT_EQ(recovered.kernel().stats().panics, 0u);
+  ASSERT_NE(recovered.journal(), nullptr);
+  EXPECT_EQ(recovered.journal()->stats().torn_tail_truncations, 1u);
+  EXPECT_EQ(recovered.journal()->stats().replayed_transactions, 3u);
+  EXPECT_TRUE(recovered.filing().Contains("one"));
+  EXPECT_TRUE(recovered.filing().Contains("two"));
+  EXPECT_FALSE(recovered.filing().Contains("three"));
+}
+
 TEST(CrashRecoveryTest, SystemBootRecoversCommittedState) {
   StableStore device;
   {

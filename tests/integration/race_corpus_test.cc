@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "src/analysis/races/races.h"
@@ -56,13 +57,18 @@ class RaceCorpusTest : public ::testing::Test {
     return carrier;
   }
 
-  AccessDescriptor Spawn(Assembler& assembler, const AccessDescriptor& carrier) {
+  AccessDescriptor Create(Assembler& assembler, const AccessDescriptor& carrier) {
     ProcessOptions options;
     options.initial_arg = carrier;
     auto process = kernel_.CreateProcess(assembler.Build(), options);
     EXPECT_TRUE(process.ok()) << FaultName(process.fault());
-    EXPECT_TRUE(kernel_.StartProcess(process.value()).ok());
-    return process.value();
+    return process.ok() ? process.value() : AccessDescriptor();
+  }
+
+  AccessDescriptor Spawn(Assembler& assembler, const AccessDescriptor& carrier) {
+    AccessDescriptor process = Create(assembler, carrier);
+    EXPECT_TRUE(kernel_.StartProcess(process).ok());
+    return process;
   }
 
   Machine machine_;
@@ -123,6 +129,67 @@ TEST_F(RaceCorpusTest, StaticOrderedPairStaysSilentDynamically) {
 
   kernel_.Run();
   EXPECT_TRUE(kernel_.race_sanitizer()->races().empty());
+}
+
+// Five topologies side by side in one kernel, each on its own object: the unordered
+// write/write and write/read pairs are reported, each on its own object; the send/receive
+// pair and the relayed pair are ordered; the cond-send pair is suppressed. The processes are
+// created but never started.
+TEST_F(RaceCorpusTest, FiveTopologiesInOneSystemKeepTheirOwnVerdicts) {
+  AccessDescriptor counter = MakeObject("racy.counter");
+  AccessDescriptor buffer = MakeObject("racy.buffer");
+  AccessDescriptor sync = MakeObject("sync.cell");
+  AccessDescriptor relay = MakeObject("relay.cell");
+  AccessDescriptor cond = MakeObject("cond.cell");
+  AccessDescriptor sync_port = MakePort("sync.token");
+  AccessDescriptor relay_t = MakePort("relay.t");
+  AccessDescriptor relay_u = MakePort("relay.u");
+  AccessDescriptor cond_port = MakePort("cond.token");
+
+  // Each program starts with a2 = carrier slot 0 (the shared object, or for the relay hop
+  // its inbound port) and a3 = carrier slot 1 (a port, when given).
+  auto add = [&](const char* name, const AccessDescriptor& slot0,
+                 const AccessDescriptor& slot1, const std::function<void(Assembler&)>& body) {
+    Assembler a(name);
+    a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0);
+    if (!slot1.is_null()) a.LoadAd(3, 1, 1);
+    body(a);
+    a.Halt();
+    Create(a, MakeCarrier(slot0, slot1));
+  };
+  auto write = [](Assembler& a) { a.StoreData(2, 0, 0); };
+  auto read = [](Assembler& a) { a.LoadData(0, 2, 0); };
+  auto write_then_send = [](Assembler& a) { a.StoreData(2, 0, 0).Send(3, 1); };
+  auto receive_then_read = [](Assembler& a) { a.Receive(4, 3).LoadData(0, 2, 0); };
+  add("racy.w0", counter, {}, write);
+  add("racy.w1", counter, {}, write);
+  add("racy.writer", buffer, {}, write);
+  add("racy.reader", buffer, {}, read);
+  add("sync.writer", sync, sync_port, write_then_send);
+  add("sync.reader", sync, sync_port, receive_then_read);
+  add("relay.writer", relay, relay_t, write_then_send);
+  add("relay.hop", relay_t, relay_u, [](Assembler& a) { a.Receive(4, 2).Send(3, 1); });
+  add("relay.reader", relay, relay_u, receive_then_read);
+  add("cond.writer", cond, cond_port,
+      [](Assembler& a) { a.StoreData(2, 0, 0).CondSend(3, 1, 0); });
+  add("cond.reader", cond, cond_port, receive_then_read);
+
+  analysis::RaceAnalysisReport report = kernel_.AnalyzeRaces();
+  ASSERT_EQ(report.diagnostics.size(), 2u) << analysis::FormatRaceReport(report);
+  for (const analysis::RaceDiagnostic& diagnostic : report.diagnostics) {
+    ASSERT_EQ(diagnostic.pairs.size(), 1u) << diagnostic.message;
+    const analysis::RacePair& pair = diagnostic.pairs[0];
+    if (diagnostic.object == counter.index()) {
+      EXPECT_EQ(pair.first->kind, analysis::AccessKind::kWrite);
+      EXPECT_EQ(pair.second->kind, analysis::AccessKind::kWrite);
+    } else {
+      EXPECT_EQ(diagnostic.object, buffer.index()) << diagnostic.message;
+      EXPECT_NE(pair.first->kind, pair.second->kind);  // one write, one read
+    }
+  }
+  EXPECT_NE(report.diagnostics[0].object, report.diagnostics[1].object);
+  EXPECT_GE(report.pairs_ordered, 2u);     // sync and relay
+  EXPECT_GE(report.pairs_suppressed, 1u);  // cond
 }
 
 TEST_F(RaceCorpusTest, ForgetProgramAnalysisClearsSummaryNameAndDeferredArgument) {

@@ -35,8 +35,8 @@ fi
 
 # --- imax_lint: static capability verification of ISA programs -----------------------
 if [ -x "${build_dir}/tools/imax_lint" ]; then
-  echo "lint.sh: running imax_lint --all"
-  if ! "${build_dir}/tools/imax_lint" --all; then
+  echo "lint.sh: running imax_lint"
+  if ! "${build_dir}/tools/imax_lint"; then
     echo "lint.sh: imax_lint failed"
     status=1
   fi
