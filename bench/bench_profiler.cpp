@@ -1,8 +1,9 @@
 // E17 — Cycle-attribution profiler and causal span tracing (DESIGN.md §7).
 //
 // The observability layer makes three claims this experiment prices and verifies:
-//   (1) the profiler and span tracer are pure observers — arming both must not move the
-//       virtual clock by a single cycle, and the host-time overhead must be modest;
+//   (1) the profiler, the span tracer and the event trace are pure observers — arming all
+//       three must not move the virtual clock by a single cycle, and the host-time
+//       overhead must be modest;
 //   (2) cycle attribution is gap-free — after FlushOpenIntervals, each GDP's per-bucket
 //       sums equal its online time *exactly* (±0), on compute-bound, gc-heavy, and
 //       port-heavy shapes alike;
@@ -36,6 +37,7 @@ SystemConfig ObserverConfig(int processors, bool observers, bool gc = false) {
   SystemConfig config = DefaultConfig(processors);
   config.profile = observers;
   config.span_trace = observers;
+  config.trace = observers;
   config.start_gc_daemon = gc;
   return config;
 }

@@ -21,6 +21,11 @@ constexpr uint32_t kTickTypeId = 0x7001;
 constexpr char kSentinelName[] = "crash-sentinel";
 constexpr uint32_t kSentinelBytes = 64;
 
+// Every incarnation's machine, and the virtual time between filing mutations.
+constexpr uint32_t kMemoryBytes = 192 * 1024;
+constexpr uint32_t kObjectTableCapacity = 4096;
+constexpr Cycles kFilingTickInterval = 9'000;
+
 void SentinelData(uint8_t* out) {
   for (uint32_t i = 0; i < kSentinelBytes; ++i) {
     out[i] = static_cast<uint8_t>(0x43 + i * 7);
@@ -78,8 +83,8 @@ std::vector<EpochPlan> PartitionSchedule(const std::vector<InjectionEvent>& sche
   return epochs;
 }
 
-// The fault_campaign_test churn worker: allocation pressure, swap-ins, and compute, at the
-// services level with faults routed to the recovery service.
+// The churn worker, the only copy of this program: allocation pressure, swap-ins, and
+// compute, at the services level with faults routed to the recovery service.
 void SpawnChurnWorkers(System& system, const AccessDescriptor& fault_port, int workers) {
   for (int w = 0; w < workers; ++w) {
     auto carrier = system.memory().CreateObject(system.memory().global_heap(),
@@ -317,14 +322,13 @@ CrashCampaignReport RunCrashCampaign(const CrashCampaignConfig& config) {
 
     SystemConfig system_config;
     system_config.processors = config.processors;
-    system_config.machine.memory_bytes = config.memory_bytes;
-    system_config.machine.object_table_capacity = config.object_table_capacity;
+    system_config.machine.memory_bytes = kMemoryBytes;
+    system_config.machine.object_table_capacity = kObjectTableCapacity;
     system_config.memory_manager = MemoryManagerKind::kSwapping;
     system_config.trace = true;
-    system_config.trace_capacity = config.trace_capacity;
     system_config.start_patrol_daemon = true;
     system_config.stable_store = &device;
-    system_config.filing_checkpoint_interval = config.checkpoint_interval;
+    system_config.filing_checkpoint_interval = kCrashCheckpointInterval;
     System system(system_config);
 
     // --- Post-recovery verification (before any new work touches the store) ---
@@ -372,8 +376,7 @@ CrashCampaignReport RunCrashCampaign(const CrashCampaignConfig& config) {
                                  epoch.recovered_digest);
 
     Cycles tick_limit = plan.span;
-    for (Cycles t = config.filing_tick_interval; t < tick_limit;
-         t += config.filing_tick_interval) {
+    for (Cycles t = kFilingTickInterval; t < tick_limit; t += kFilingTickInterval) {
       FilingDriver* d = &driver;
       system.machine().events().ScheduleAt(t, [d] { d->Tick(); });
     }
@@ -442,11 +445,11 @@ CrashCampaignReport RunCrashCampaign(const CrashCampaignConfig& config) {
   {
     SystemConfig system_config;
     system_config.processors = 1;
-    system_config.machine.memory_bytes = config.memory_bytes;
-    system_config.machine.object_table_capacity = config.object_table_capacity;
+    system_config.machine.memory_bytes = kMemoryBytes;
+    system_config.machine.object_table_capacity = kObjectTableCapacity;
     system_config.memory_manager = MemoryManagerKind::kSwapping;
     system_config.stable_store = &device;
-    system_config.filing_checkpoint_interval = config.checkpoint_interval;
+    system_config.filing_checkpoint_interval = kCrashCheckpointInterval;
     System verifier(system_config);
     if (verifier.filing().StateDigest() != expected_digests.back()) {
       ++report.recovery_mismatches;

@@ -35,17 +35,15 @@
 
 namespace imax432 {
 
+// Journaled mutations between checkpoint compactions in every epoch's System.
+inline constexpr uint32_t kCrashCheckpointInterval = 24;
+
 struct CrashCampaignConfig {
   uint64_t seed = 432;
   uint32_t events = 200;      // total injection events, power cuts included
   uint32_t power_cuts = 25;   // kPowerCut events among them (epochs = power_cuts + 1)
   Cycles horizon = 2'000'000;
   int processors = 2;
-  uint32_t memory_bytes = 192 * 1024;
-  uint32_t object_table_capacity = 4096;
-  uint32_t checkpoint_interval = 24;  // journaled mutations between compactions
-  Cycles filing_tick_interval = 9'000;
-  uint32_t trace_capacity = 1u << 16;
 };
 
 struct CrashEpochReport {

@@ -12,6 +12,30 @@ namespace imax432 {
 
 namespace {
 
+// `text` as the body of a JSON string: quotes, backslashes and control characters escaped.
+// Symbol names and log annotations come from user code, so every one goes through here.
+std::string Escape(const std::string& text) {
+  std::string escaped;
+  escaped.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '"': escaped += "\\\""; break;
+      case '\\': escaped += "\\\\"; break;
+      case '\n': escaped += "\\n"; break;
+      case '\t': escaped += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          escaped += buffer;
+        } else {
+          escaped += c;
+        }
+    }
+  }
+  return escaped;
+}
+
 // Emits one JSON object per trace event into `out`. All events share pid 0; tids are
 // 1 + cpu for processor tracks, then GC / kernel / log tracks above the highest cpu.
 class Exporter {
@@ -24,7 +48,6 @@ class Exporter {
   std::string Run();
 
  private:
-  static std::string Escape(const std::string& text);
   static std::string Ts(Cycles cycles);
 
   std::string NameFor(const char* prefix, uint32_t index) const;
@@ -50,28 +73,6 @@ class Exporter {
   std::string out_;
   bool first_ = true;
 };
-
-std::string Exporter::Escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  return escaped;
-}
 
 std::string Exporter::Ts(Cycles cycles) {
   char buffer[32];
@@ -373,7 +374,7 @@ std::string ExportSpanChromeTrace(const SpanTracer& spans, const SymbolTable* sy
     std::string name = "process " + std::to_string(span.process);
     if (symbols != nullptr) {
       const std::string* symbol = symbols->Find(span.process);
-      if (symbol != nullptr) name = *symbol;
+      if (symbol != nullptr) name = Escape(*symbol);
     }
     append("{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(tid) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + name + "\"}}");

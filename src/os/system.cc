@@ -15,7 +15,7 @@ System::System(const SystemConfig& config)
   }
   // Arm the observers before anything executes so the boot daemons are attributed too.
   if (config.profile) {
-    machine_.profiler().Enable(config.profile_sample_period);
+    machine_.profiler().Enable();
   }
   if (config.span_trace) {
     machine_.spans().Enable();

@@ -78,11 +78,10 @@ struct SystemConfig {
   uint32_t demote_sro_bytes = 16 * 1024;
 
   // Cycle-attribution profiler (src/obs/profiler.h): bin every virtual cycle of every GDP
-  // into a CycleBucket, plus a deterministic 1-in-N hot-site sample of interpreter dispatch.
-  // Pure observer: zero cycle charges, bit-identical virtual time (and replay fingerprint)
-  // on or off.
+  // into a CycleBucket, plus a deterministic 1-in-64 hot-site sample of interpreter dispatch
+  // (machine().profiler().Enable(N) before Run picks another period). Pure observer: zero
+  // cycle charges, bit-identical virtual time (and replay fingerprint) on or off.
   bool profile = false;
-  uint32_t profile_sample_period = 64;
   // Causal span tracing (src/obs/span.h): Dapper-style request trees over port sends,
   // direct handoffs, domain calls and process spawns. Pure observer, same guarantee.
   bool span_trace = false;

@@ -122,14 +122,15 @@ bool FaultInjector::PickProcessor(uint32_t target, bool keep_one_alive, uint16_t
 bool FaultInjector::PickGenericObject(uint32_t target, bool needs_data,
                                       ObjectIndex* out) const {
   const ObjectTable& table = kernel_->machine().table();
+  const ObjectIndex end = table.capacity();
   std::vector<ObjectIndex> candidates;
-  for (ObjectIndex index = 0; index < table.capacity(); ++index) {
+  for (ObjectIndex index = table.NextAllocated(0, end); index < end;
+       index = table.NextAllocated(index + 1, end)) {
     const ObjectDescriptor& descriptor = table.At(index);
     // Only plain generic objects: corrupting a kernel system object (process, context,
     // port) would model a fault class the 432's checked-against-the-descriptor microcode
     // paths don't survive, and quarantine deliberately applies to generic objects only.
-    if (!descriptor.allocated || descriptor.type != SystemType::kGeneric ||
-        descriptor.quarantined) {
+    if (descriptor.type != SystemType::kGeneric || descriptor.quarantined) {
       continue;
     }
     if (needs_data && (descriptor.data_length == 0 || descriptor.swapped_out)) {

@@ -73,8 +73,8 @@ TEST(CrashRecoveryTest, SeedsDiverge) {
 }
 
 TEST(CrashRecoveryTest, AcceptanceCampaignTwoHundredEventsTwentyFiveCuts) {
-  // The issue's acceptance bar: a 200-event campaign with 25 seeded power cuts recovers
-  // every time — journal replay restores all committed state, zero patrol violations after
+  // The acceptance bar: a 200-event campaign with 25 seeded power cuts recovers every
+  // time — journal replay restores all committed state, zero patrol violations after
   // recovery, type identity enforced across restart.
   CrashCampaignConfig config;  // defaults: seed 432, 200 events, 25 cuts
   CrashCampaignReport report = RunCrashCampaign(config);
@@ -85,6 +85,10 @@ TEST(CrashRecoveryTest, AcceptanceCampaignTwoHundredEventsTwentyFiveCuts) {
   EXPECT_GT(report.journal.torn_tail_truncations + report.journal.rolled_back_transactions +
                 report.journal.replayed_transactions,
             0u);
+  // `imax_trace --power-cut-campaign 200 --power-cuts 25` runs this config; a change to
+  // either pinned value is a model change.
+  EXPECT_EQ(report.campaign_fingerprint, 0x747980a021766f09ull);
+  EXPECT_EQ(report.virtual_cycles, 2'024'370u);
 }
 
 TEST(CrashRecoveryTest, SystemBootSurvivesGarbageJournal) {

@@ -1,128 +1,40 @@
 // End-to-end fault-injection campaigns: the acceptance contract of the injection harness.
 // Same {seed, schedule} => bit-identical replay (virtual end time and full trace
 // fingerprint), and every injected fault ends in documented recovery or a policy-driven
-// termination — never a kernel panic.
+// termination — never a kernel panic. The campaign is the one `imax_trace --inject` runs,
+// and its 200-event replay is pinned here with and without the observers armed.
+
+#include "src/os/fault_campaign.h"
 
 #include <gtest/gtest.h>
-
-#include "src/memory/swapping_memory_manager.h"
-#include "src/os/fault_service.h"
-#include "src/os/system.h"
-#include "src/sim/fault_injector.h"
 
 namespace imax432 {
 namespace {
 
-uint64_t FingerprintTrace(const std::vector<TraceEvent>& events) {
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  for (const TraceEvent& event : events) {
-    mix(event.ts);
-    mix(event.process);
-    mix((static_cast<uint64_t>(event.a) << 32) | event.b);
-    mix((static_cast<uint64_t>(event.c) << 16) | event.cpu);
-    mix(static_cast<uint64_t>(event.kind));
-  }
-  return hash;
+// 24 events over 600,000 cycles, the default two GDPs, no observers.
+FaultCampaignResult RunShortCampaign(uint64_t seed) {
+  return RunFaultCampaign(seed, 24, 600'000, SystemConfig());
 }
 
-struct CampaignOutcome {
-  Cycles end = 0;
-  uint64_t fingerprint = 0;
-  uint64_t panics = 0;
-  uint64_t injections = 0;
-  uint64_t faults_delivered = 0;
-  uint64_t quarantined = 0;
-  uint64_t terminated_by_policy = 0;
-};
-
-// A compact version of the imax_trace --inject campaign: swapping storage under pressure,
-// service-level workers wired to a recovery-policy fault service, the patrol daemon armed,
-// and a seeded schedule of every injection kind.
-CampaignOutcome RunCampaign(uint64_t seed, uint32_t count, Cycles horizon) {
-  SystemConfig config;
-  config.processors = 2;
-  config.machine.memory_bytes = 192 * 1024;
-  config.machine.object_table_capacity = 4096;
-  config.memory_manager = MemoryManagerKind::kSwapping;
-  config.trace = true;
-  config.start_patrol_daemon = true;
-  System system(config);
-
-  FaultService service(&system.kernel(), FaultService::MakeRecoveryPolicy());
-  auto fault_port = service.Spawn();
-  EXPECT_TRUE(fault_port.ok());
-
-  FaultInjector injector(&system.kernel(),
-                         static_cast<SwappingMemoryManager*>(&system.memory()));
-  injector.Arm(FaultInjector::GenerateSchedule(seed, count, horizon));
-
-  // Three churn workers: each allocates 4 KB objects in a loop (swap pressure), re-reads
-  // the previous one (swap-ins; walks into quarantined objects), and computes. Services
-  // level + fault port: injected faults are delivered and recovered, never panicked.
-  for (int w = 0; w < 3; ++w) {
-    auto carrier = system.memory().CreateObject(system.memory().global_heap(),
-                                                SystemType::kGeneric, 8, 2,
-                                                rights::kRead | rights::kWrite);
-    EXPECT_TRUE(carrier.ok());
-    EXPECT_TRUE(system.machine()
-                    .addressing()
-                    .WriteAd(carrier.value(), 0, system.memory().global_heap())
-                    .ok());
-    Assembler a("churn");
-    a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0);
-    auto loop = a.NewLabel();
-    a.LoadImm(0, 0).LoadImm(1, 40).Bind(loop);
-    a.CreateObject(3, 2, 4 * 1024);
-    a.StoreData(3, 0, 0, 8);
-    a.StoreAd(1, 3, 1);  // keep the newest object reachable via the carrier
-    a.LoadAd(4, 1, 1);   // ... and re-read it (possible swap-in / quarantine)
-    a.LoadData(5, 4, 0, 8);
-    a.Compute(400);
-    a.AddImm(0, 0, 1).BranchIfLess(0, 1, loop);
-    a.Halt();
-    ProcessOptions options;
-    options.initial_arg = carrier.value();
-    options.imax_level = kImaxLevelServices;
-    options.fault_port = fault_port.value();
-    EXPECT_TRUE(system.Spawn(a.Build(), options).ok());
-  }
-
-  // Patrol sweeps on a timer so injected corruption is found during the campaign.
-  for (Cycles t = horizon / 4; t <= horizon; t += horizon / 4) {
-    System* sys = &system;
-    system.machine().events().ScheduleAt(t, [sys] { (void)sys->RequestPatrolSweep(); });
-  }
-
-  system.Run();
-  system.patrol().SweepNow();  // final host-side scan: nothing corrupt may survive unseen
-
-  CampaignOutcome outcome;
-  outcome.end = system.now();
-  outcome.fingerprint = FingerprintTrace(system.machine().trace().Snapshot());
-  outcome.panics = system.kernel().stats().panics;
-  outcome.injections = injector.stats().fired;
-  outcome.faults_delivered = system.kernel().stats().faults_delivered;
-  outcome.quarantined = system.patrol().stats().objects_quarantined;
-  outcome.terminated_by_policy = service.stats().terminated;
-  return outcome;
+uint64_t Quarantined(const FaultCampaignResult& result) {
+  return result.system->patrol().stats().objects_quarantined;
 }
 
+// This seed's short campaign quarantines objects, so the replay covers the patrol's
+// quarantine path and the faults it delivers.
 TEST(FaultCampaignTest, ReplayIsBitIdentical) {
-  CampaignOutcome first = RunCampaign(432, 24, 600'000);
-  CampaignOutcome second = RunCampaign(432, 24, 600'000);
-  EXPECT_EQ(first.end, second.end);
+  FaultCampaignResult first = RunShortCampaign(20260805);
+  FaultCampaignResult second = RunShortCampaign(20260805);
+  EXPECT_EQ(first.system->now(), second.system->now());
   EXPECT_EQ(first.fingerprint, second.fingerprint);
-  EXPECT_EQ(first.injections, second.injections);
-  EXPECT_EQ(first.quarantined, second.quarantined);
+  EXPECT_EQ(first.injector.fired, second.injector.fired);
+  EXPECT_EQ(Quarantined(first), Quarantined(second));
+  EXPECT_GT(Quarantined(first), 0u);
 }
 
 TEST(FaultCampaignTest, DifferentSeedsProduceDifferentTimelines) {
-  CampaignOutcome a = RunCampaign(1, 24, 600'000);
-  CampaignOutcome b = RunCampaign(2, 24, 600'000);
+  FaultCampaignResult a = RunShortCampaign(1);
+  FaultCampaignResult b = RunShortCampaign(2);
   EXPECT_NE(a.fingerprint, b.fingerprint);
 }
 
@@ -131,10 +43,34 @@ TEST(FaultCampaignTest, EveryInjectedFaultEndsInRecoveryNeverPanic) {
   // invariant under test: injections land (fired > 0) and the kernel never panics — every
   // fault either recovers (retry, requeue, re-baseline) or terminates by policy.
   for (uint64_t seed : {3ull, 17ull, 20260805ull}) {
-    CampaignOutcome outcome = RunCampaign(seed, 24, 600'000);
-    EXPECT_GT(outcome.injections, 0u) << "seed " << seed;
-    EXPECT_EQ(outcome.panics, 0u) << "seed " << seed;
+    FaultCampaignResult outcome = RunShortCampaign(seed);
+    EXPECT_GT(outcome.injector.fired, 0u) << "seed " << seed;
+    EXPECT_EQ(outcome.system->kernel().stats().panics, 0u) << "seed " << seed;
   }
+}
+
+// `imax_trace --inject 200 --seed 20260805`. A replay that matches itself but not these
+// values changed the model, or renumbered a trace kind, which the fingerprint hashes.
+void ExpectPinnedCampaign(bool observers) {
+  SystemConfig config;
+  config.profile = observers;
+  config.span_trace = observers;
+  FaultCampaignResult result = RunFaultCampaign(20260805, 200, 2'000'000, config);
+  const KernelStats& kernel = result.system->kernel().stats();
+  EXPECT_EQ(result.fingerprint, 0x58e6f55c3f2786a9ull);
+  EXPECT_EQ(result.system->now(), 12'446'750u);
+  EXPECT_EQ(kernel.panics, 0u);
+  EXPECT_EQ(result.fault_service->stats().received, kernel.faults_delivered);
+}
+
+TEST(FaultCampaignTest, TwoHundredEventCampaignMatchesItsPinnedFingerprint) {
+  ExpectPinnedCampaign(/*observers=*/false);
+}
+
+// The profiler and span tracer are pure observers: arming them moves neither the end time
+// nor the fingerprint.
+TEST(FaultCampaignTest, ObserversLeaveThePinnedFingerprintUnchanged) {
+  ExpectPinnedCampaign(/*observers=*/true);
 }
 
 }  // namespace

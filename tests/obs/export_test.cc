@@ -77,6 +77,20 @@ void RunTracedWorkload(System& system) {
   system.Run();
 }
 
+// Tracing must be a pure observer: the same workload reaches the same virtual time with
+// tracing on and off. (The test lives here, beside the workload it shares.)
+TEST(TraceSystemTest, TracingDoesNotPerturbVirtualTime) {
+  auto run = [](bool trace) {
+    SystemConfig config = TraceConfig();
+    config.trace = trace;
+    System system(config);
+    RunTracedWorkload(system);
+    EXPECT_EQ(system.machine().trace().total_emitted() > 0, trace);
+    return system.now();
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
 size_t CountOccurrences(const std::string& haystack, const std::string& needle) {
   size_t count = 0;
   for (size_t pos = haystack.find(needle); pos != std::string::npos;

@@ -212,9 +212,8 @@ TEST(ProfilerSystemTest, GcDaemonCyclesRebinUnderGc) {
 TEST(ProfilerSystemTest, HotSiteSamplingIsDeterministicAcrossRuns) {
   auto run = [](CycleProfiler::HotSite* first, uint64_t* first_key, uint64_t* taken,
                 size_t* sites) {
-    SystemConfig config = ProfiledConfig(/*profile=*/true);
-    config.profile_sample_period = 16;
-    System system(config);
+    System system(ProfiledConfig(/*profile=*/true));
+    system.machine().profiler().Enable(16);
     SpawnPipeline(system);
     system.Run();
     const CycleProfiler& profiler = system.machine().profiler();

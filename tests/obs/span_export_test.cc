@@ -3,7 +3,9 @@
 // exactly this purpose), re-derive the span tree from the parsed events alone, and check
 // it against the tracer's own records.
 
+#include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -28,6 +30,113 @@ bool ExtractU64(const std::string& line, const std::string& key, uint64_t* out) 
   *out = std::strtoull(line.c_str() + pos + needle.size(), nullptr, 10);
   return true;
 }
+
+// Strict recursive-descent check that `text` is exactly one JSON value (RFC 8259 grammar),
+// so the exporter's escaping is held to the format rather than to a pattern.
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : text_(text) {}
+
+  bool Valid() {
+    if (!Value()) return false;
+    SkipSpace();
+    return pos_ == text_.size();
+  }
+
+ private:
+  bool AtEnd() const { return pos_ >= text_.size(); }
+  bool IsDigit() const {
+    return !AtEnd() && std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  }
+  void SkipSpace() {
+    while (!AtEnd() && text_[pos_] != '\0' && std::strchr(" \t\r\n", text_[pos_]) != nullptr) {
+      ++pos_;
+    }
+  }
+  bool Eat(char c) {
+    SkipSpace();
+    if (AtEnd() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  bool Value() {
+    SkipSpace();
+    if (AtEnd()) return false;
+    switch (text_[pos_]) {
+      case '{': return Object();
+      case '[': return Array();
+      case '"': return String();
+      default: break;
+    }
+    for (const char* literal : {"true", "false", "null"}) {
+      if (text_.compare(pos_, std::strlen(literal), literal) == 0) {
+        pos_ += std::strlen(literal);
+        return true;
+      }
+    }
+    return Number();
+  }
+  bool Object() {
+    ++pos_;
+    if (Eat('}')) return true;
+    do {
+      SkipSpace();
+      if (!String() || !Eat(':') || !Value()) return false;
+    } while (Eat(','));
+    return Eat('}');
+  }
+  bool Array() {
+    ++pos_;
+    if (Eat(']')) return true;
+    do {
+      if (!Value()) return false;
+    } while (Eat(','));
+    return Eat(']');
+  }
+  bool String() {
+    if (AtEnd() || text_[pos_] != '"') return false;
+    ++pos_;
+    while (!AtEnd()) {
+      unsigned char c = static_cast<unsigned char>(text_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20 || (c == '\\' && !Escape())) return false;
+    }
+    return false;
+  }
+  bool Escape() {
+    if (AtEnd()) return false;
+    char c = text_[pos_++];
+    if (c == 'u') {
+      for (int i = 0; i < 4; ++i, ++pos_) {
+        if (AtEnd() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) return false;
+      }
+      return true;
+    }
+    return c != '\0' && std::strchr("\"\\/bfnrt", c) != nullptr;
+  }
+  bool Digits() {
+    size_t start = pos_;
+    while (IsDigit()) ++pos_;
+    return pos_ > start;
+  }
+  bool Number() {
+    if (!AtEnd() && text_[pos_] == '-') ++pos_;
+    if (!Digits()) return false;
+    if (!AtEnd() && text_[pos_] == '.') {
+      ++pos_;
+      if (!Digits()) return false;
+    }
+    if (!AtEnd() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (!AtEnd() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      return Digits();
+    }
+    return true;
+  }
+
+  const std::string& text_;
+  size_t pos_ = 0;
+};
 
 struct ParsedSpan {
   uint64_t parent = 0;
@@ -92,6 +201,7 @@ TEST(SpanExportTest, RoundTripRederivesTheSpanTree) {
   std::string json = ExportSpanChromeTrace(tracer, &system.kernel().symbols());
   EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\n]}\n"), std::string::npos);
+  EXPECT_TRUE(JsonChecker(json).Valid());
 
   // Parse: one event per line. Slices carry the span fields; "s"/"f" carry flow ids.
   std::map<uint64_t, ParsedSpan> parsed;
@@ -157,6 +267,26 @@ TEST(SpanExportTest, RoundTripRederivesTheSpanTree) {
   EXPECT_GT(children.size(), 0u);
 }
 
+// Process names come from user code; a quote or a backslash in one must not break the JSON.
+TEST(SpanExportTest, SymbolNamesAreEscaped) {
+  SystemConfig config;
+  config.processors = 2;
+  config.machine.memory_bytes = 2 * 1024 * 1024;
+  config.span_trace = true;
+  System system(config);
+  RunSpanWorkload(system, 2);
+  SpanTracer& tracer = system.machine().spans();
+  tracer.FlushOpen();
+  ASSERT_GT(tracer.spans().size(), 0u);
+  for (const SpanRecord& span : tracer.spans()) {
+    system.kernel().symbols().Name(span.process, "say \"hi\" \\ bye");
+  }
+
+  std::string json = ExportSpanChromeTrace(tracer, &system.kernel().symbols());
+  EXPECT_TRUE(JsonChecker(json).Valid());
+  EXPECT_NE(json.find("\"args\":{\"name\":\"say \\\"hi\\\" \\\\ bye\"}"), std::string::npos);
+}
+
 TEST(SpanExportTest, EmptyTracerProducesValidSkeleton) {
   SpanTracer tracer;
   tracer.Enable();
@@ -165,6 +295,7 @@ TEST(SpanExportTest, EmptyTracerProducesValidSkeleton) {
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\n]}\n"), std::string::npos);
   EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_TRUE(JsonChecker(json).Valid());
 }
 
 }  // namespace

@@ -203,23 +203,5 @@ TEST(TraceSystemTest, MultiProcessorRunProducesCoherentTimeline) {
             system.kernel().stats().dispatches);
 }
 
-// Tracing must be a pure observer: the same workload reaches the same virtual time with
-// tracing on and off.
-TEST(TraceSystemTest, TracingDoesNotPerturbVirtualTime) {
-  auto run = [](bool trace) {
-    SystemConfig config;
-    config.processors = 2;
-    config.machine.memory_bytes = 2 * 1024 * 1024;
-    config.trace = trace;
-    System system(config);
-    Assembler a("work");
-    a.Compute(5000).Halt();
-    EXPECT_TRUE(system.Spawn(a.Build()).ok());
-    system.Run();
-    return system.now();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 }  // namespace
 }  // namespace imax432

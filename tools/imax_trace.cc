@@ -3,15 +3,11 @@
 // optional metrics snapshot.
 //
 // Usage:
-//   imax_trace [--workload quickstart|pipeline|churn] [--processors N] [--cycles N]
-//              [--trace-capacity N] [--out trace.json] [--metrics metrics.json] [--overhead]
+//   imax_trace [--workload quickstart|pipeline|churn] [--processors N]
+//              [--trace-capacity N] [--out trace.json] [--metrics metrics.json]
 //
 // Every workload run and every --inject campaign reports the AD-translation cache's hit and
 // miss counts at exit.
-//
-// --overhead runs the selected workload twice — tracing enabled and disabled — and reports
-// the host wall-clock cost of instrumentation. The two runs must reach the same virtual
-// time; tracing is an observer, never a participant.
 //
 // --profile arms the cycle-attribution profiler: every virtual cycle of every GDP is binned
 // into an attribution bucket (interpreter, dispatch, bus, port wait, gc, fault recovery,
@@ -23,14 +19,14 @@
 // All three are pure observers: virtual time (and the campaign replay fingerprint under
 // --inject) is bit-identical with them on or off.
 //
-// --inject N switches to fault-injection campaign mode: a seeded schedule of N hardware
-// faults (processor retirement/stalls, backing-store failures, bit flips, descriptor
-// corruption, bus fault windows) is armed against a swapping-memory worker fleet with the
-// patrol daemon and the fault service's recovery policy active. The run must end with zero
-// kernel panics — every injected fault either recovers or is terminated by policy — and
-// --inject-report writes a JSON recovery report. --inject-verify runs the campaign twice
-// and fails unless both runs are bit-identical (same virtual end time, same trace
-// fingerprint): the replay contract.
+// --inject N switches to fault-injection campaign mode: RunFaultCampaign
+// (src/os/fault_campaign.h) arms a seeded schedule of N hardware faults (processor
+// retirement/stalls, backing-store failures, bit flips, descriptor corruption, bus fault
+// windows) against a swapping-memory worker fleet with the patrol daemon and the fault
+// service's recovery policy active. The run must end with zero kernel panics — every
+// injected fault either recovers or is terminated by policy — and --inject-report writes a
+// JSON recovery report. --inject-verify runs the campaign twice and fails unless both runs
+// are bit-identical (same virtual end time, same trace fingerprint): the replay contract.
 //
 // --power-cut-campaign N switches to crash-restart campaign mode: a seeded schedule of N
 // events of which --power-cuts K (default 25) are whole-System power cuts. Each cut tears
@@ -41,10 +37,8 @@
 // fingerprints. Exit is nonzero if any epoch fails to recover.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -52,9 +46,8 @@
 #include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/perfetto.h"
-#include "src/os/fault_service.h"
+#include "src/os/fault_campaign.h"
 #include "src/os/system.h"
-#include "src/sim/fault_injector.h"
 
 using namespace imax432;
 
@@ -65,9 +58,7 @@ struct Options {
   std::string out = "trace.json";
   std::string metrics;
   int processors = 2;
-  Cycles cycles = 0;  // 0 = run to quiescence
   uint32_t trace_capacity = TraceRecorder::kDefaultCapacity;
-  bool overhead = false;
   bool race_sanitize = false;
   bool lifetime_demote = false;
   uint32_t inject_count = 0;  // > 0 selects campaign mode
@@ -87,8 +78,8 @@ struct Options {
 void Usage() {
   std::fprintf(stderr,
                "usage: imax_trace [--workload quickstart|pipeline|churn] [--processors N]\n"
-               "                  [--cycles N] [--trace-capacity N] [--out FILE]\n"
-               "                  [--metrics FILE] [--overhead] [--race-sanitize]\n"
+               "                  [--trace-capacity N] [--out FILE]\n"
+               "                  [--metrics FILE] [--race-sanitize]\n"
                "                  [--lifetime-demote]\n"
                "                  [--inject N] [--seed S]\n"
                "                  [--inject-horizon CYCLES] [--inject-report FILE]\n"
@@ -298,40 +289,42 @@ std::unique_ptr<System> RunChurn(SystemConfig config) {
   return system;
 }
 
-std::unique_ptr<System> RunWorkload(const Options& options, bool trace) {
+// The switches the workload and campaign modes share: processors, the trace ring's
+// capacity, the observers, and GC-load demotion.
+SystemConfig ConfigFor(const Options& options) {
   SystemConfig config;
   config.processors = options.processors;
-  config.machine.memory_bytes = 8 * 1024 * 1024;
-  config.trace = trace;
   config.trace_capacity = options.trace_capacity;
-  config.race_sanitize = options.race_sanitize;
   if (options.lifetime_demote) {
     // Demotion verdicts come from the load-time lifetime analysis, so the verifier (and
     // with it the analysis pipeline) must be armed; the auditor rides along to prove every
-    // demotion stayed context-local.
+    // demotion stayed context-local. A campaign must still replay bit-identically with the
+    // demote machinery in the loop.
     config.verify_on_load = true;
     config.lifetime_demote = true;
     config.lifetime_audit = true;
   }
   config.profile = options.profile;
   config.span_trace = options.spans_armed();
-  std::unique_ptr<System> system;
+  return config;
+}
+
+std::unique_ptr<System> RunWorkload(const Options& options) {
+  SystemConfig config = ConfigFor(options);
+  config.machine.memory_bytes = 8 * 1024 * 1024;
+  config.trace = true;
+  config.race_sanitize = options.race_sanitize;
   if (options.workload == "quickstart") {
-    system = RunQuickstart(config);
-  } else if (options.workload == "pipeline") {
-    system = RunPipeline(config);
-  } else if (options.workload == "churn") {
-    system = RunChurn(config);
-  } else {
-    std::fprintf(stderr, "imax_trace: unknown workload '%s'\n", options.workload.c_str());
-    return nullptr;
+    return RunQuickstart(config);
   }
-  if (options.cycles != 0 && system->now() > options.cycles) {
-    std::fprintf(stderr, "note: workload ran to %llu cycles, past --cycles %llu\n",
-                 static_cast<unsigned long long>(system->now()),
-                 static_cast<unsigned long long>(options.cycles));
+  if (options.workload == "pipeline") {
+    return RunPipeline(config);
   }
-  return system;
+  if (options.workload == "churn") {
+    return RunChurn(config);
+  }
+  std::fprintf(stderr, "imax_trace: unknown workload '%s'\n", options.workload.c_str());
+  return nullptr;
 }
 
 bool WriteFile(const std::string& path, const std::string& contents) {
@@ -439,151 +432,6 @@ int ReportObservers(System& system, const Options& options) {
 
 // --- Fault-injection campaign mode ---
 
-struct CampaignResult {
-  std::unique_ptr<System> system;
-  std::vector<InjectionEvent> schedule;
-  InjectorStats injector;
-  FaultServiceStats fault_service;
-  uint64_t fingerprint = 0;
-};
-
-// FNV-1a over every recorded trace event. Two campaigns with the same {seed, schedule}
-// must produce the same fingerprint — the bit-identical-replay check.
-uint64_t FingerprintTrace(const TraceRecorder& trace) {
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t word) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash ^= (word >> shift) & 0xFFull;
-      hash *= 1099511628211ull;
-    }
-  };
-  for (const TraceEvent& event : trace.Snapshot()) {
-    mix(event.ts);
-    mix(event.process);
-    mix((static_cast<uint64_t>(event.a) << 32) | event.b);
-    mix((static_cast<uint64_t>(event.c) << 16) | event.cpu);
-    mix(static_cast<uint64_t>(event.kind));
-  }
-  return hash;
-}
-
-// The campaign workload: a fleet of workers over the swapping memory manager, each churning
-// allocations through a small ring of objects and re-reading the slot it filled on the
-// previous iteration. The churn keeps the heap under pressure (evictions -> backing-store
-// traffic for the device faults to hit), the re-reads force swap-ins and walk straight into
-// any object the patrol quarantined, and the fleet gives processor retirement real victims.
-CampaignResult RunCampaign(const Options& options) {
-  SystemConfig config;
-  config.processors = options.processors;
-  config.machine.memory_bytes = 2 * 1024 * 1024;
-  config.memory_manager = MemoryManagerKind::kSwapping;
-  config.trace = true;
-  config.trace_capacity = options.trace_capacity;
-  config.start_patrol_daemon = true;
-  if (options.lifetime_demote) {
-    // Demotion under fire: the campaign replays must stay bit-identical with the demote
-    // machinery (and its auditor) in the loop.
-    config.verify_on_load = true;
-    config.lifetime_demote = true;
-    config.lifetime_audit = true;
-  }
-  // Profiling under fire: attribution and span tracing must leave the replay fingerprint
-  // untouched (CI diffs the profiled campaign's fingerprint against the unprofiled one).
-  config.profile = options.profile;
-  config.span_trace = options.spans_armed();
-
-  CampaignResult result;
-  result.system = std::make_unique<System>(config);
-  System& system = *result.system;
-  auto& kernel = system.kernel();
-  auto& memory = system.memory();
-
-  auto* swap = static_cast<SwappingMemoryManager*>(&memory);
-  FaultService fault_service(&kernel, FaultService::MakeRecoveryPolicy());
-  auto fault_port = fault_service.Spawn();
-  IMAX_CHECK(fault_port.ok());
-
-  FaultInjector injector(&kernel, swap);
-  result.schedule = FaultInjector::GenerateSchedule(options.seed, options.inject_count,
-                                                    options.inject_horizon);
-  injector.Arm(result.schedule);
-
-  // Periodic GC (reclaims the churn so allocation pressure stays survivable) and patrol
-  // sweeps (bounds how long corruption lingers before quarantine) across the window.
-  System* sys = &system;
-  for (Cycles t = 150'000; t < options.inject_horizon; t += 150'000) {
-    system.machine().events().ScheduleAt(t, [sys] { (void)sys->RequestCollection(); });
-  }
-  for (Cycles t = 100'000; t < options.inject_horizon; t += 200'000) {
-    system.machine().events().ScheduleAt(t, [sys] { (void)sys->RequestPatrolSweep(); });
-  }
-
-  constexpr int kWorkers = 6;
-  constexpr uint32_t kRing = 6;
-  constexpr uint64_t kIterations = 220;
-  constexpr uint32_t kObjectBytes = 2048;
-  for (int w = 0; w < kWorkers; ++w) {
-    auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 16,
-                                       kRing + 1, rights::kRead | rights::kWrite);
-    IMAX_CHECK(carrier.ok());
-    (void)system.machine().addressing().WriteAd(carrier.value(), 0, memory.global_heap());
-
-    Assembler a("worker");
-    auto fill = a.NewLabel();
-    auto loop = a.NewLabel();
-    auto advanced = a.NewLabel();
-    a.MoveAd(1, kArgAdReg)
-        .LoadAd(2, 1, 0)  // a2 = heap
-        .LoadImm(0, 0)    // r0 = iteration counter
-        .LoadImm(1, kIterations)
-        .LoadImm(2, 0)  // r2 = ring cursor
-        .LoadImm(4, kRing)
-        .Bind(fill)  // pre-fill the ring so the re-read below never hits a null slot
-        .CreateObject(4, 2, kObjectBytes)
-        .StoreData(4, 0, 0, 8)
-        .StoreAdIndexed(1, 4, 2, 1)
-        .AddImm(2, 2, 1)
-        .BranchIfLess(2, 4, fill)
-        .LoadImm(2, 0)
-        .LoadImm(3, 0)  // r3 = slot filled on the previous iteration
-        .Bind(loop)
-        .CreateObject(4, 2, kObjectBytes)
-        .StoreData(4, 0, 0, 8)
-        .StoreAdIndexed(1, 4, 2, 1)  // overwrite: orphans the slot's old occupant
-        .LoadAdIndexed(5, 1, 3, 1)
-        .LoadData(6, 5, 0, 8)  // re-read: swap-ins, and quarantined objects fault here
-        .Compute(300)
-        .Move(3, 2)
-        .AddImm(2, 2, 1)
-        .BranchIfLess(2, 4, advanced)
-        .LoadImm(2, 0)
-        .Bind(advanced)
-        .AddImm(0, 0, 1)
-        .BranchIfLess(0, 1, loop)
-        .Halt();
-
-    ProcessOptions po;
-    po.initial_arg = carrier.value();
-    // Services level: injected faults deliver to the fault port instead of panicking —
-    // the campaign exercises recovery, not the §7.3 fault-freedom proof obligations.
-    po.imax_level = kImaxLevelServices;
-    po.fault_port = fault_port.value();
-    auto process = system.Spawn(a.Build(), po);
-    IMAX_CHECK(process.ok());
-    kernel.symbols().Name(process.value().index(), "worker " + std::to_string(w));
-  }
-
-  system.Run();
-  // A final synchronous sweep so corruption injected near the end still shows up in the
-  // quarantine counts the report documents.
-  system.patrol().SweepNow();
-
-  result.injector = injector.stats();
-  result.fault_service = fault_service.stats();
-  result.fingerprint = FingerprintTrace(system.machine().trace());
-  return result;
-}
-
 void AppendJsonU64(std::string* out, uint64_t value) {
   char buffer[24];
   std::snprintf(buffer, sizeof(buffer), "%llu", static_cast<unsigned long long>(value));
@@ -599,7 +447,7 @@ void AppendJsonField(std::string* out, const char* name, uint64_t value, bool* f
   AppendJsonU64(out, value);
 }
 
-std::string CampaignReportJson(const Options& options, const CampaignResult& result) {
+std::string CampaignReportJson(const Options& options, const FaultCampaignResult& result) {
   System& system = *result.system;
   const KernelStats& kernel = system.kernel().stats();
   const MemoryStats memory = system.memory().stats();
@@ -660,13 +508,14 @@ std::string CampaignReportJson(const Options& options, const CampaignResult& res
   AppendJsonField(&out, "data_crc_failures", patrol.data_crc_failures, &first);
   AppendJsonField(&out, "bus_dropped_transfers", bus.dropped_transfers(), &first);
   AppendJsonField(&out, "bus_duplicated_transfers", bus.duplicated_transfers(), &first);
+  const FaultServiceStats& service = result.fault_service->stats();
   out += ",\"fault_service\":{";
   first = true;
-  AppendJsonField(&out, "received", result.fault_service.received, &first);
-  AppendJsonField(&out, "retried", result.fault_service.retried, &first);
-  AppendJsonField(&out, "terminated", result.fault_service.terminated, &first);
-  AppendJsonField(&out, "escalated", result.fault_service.escalated, &first);
-  AppendJsonField(&out, "budget_exhausted", result.fault_service.budget_exhausted, &first);
+  AppendJsonField(&out, "received", service.received, &first);
+  AppendJsonField(&out, "retried", service.retried, &first);
+  AppendJsonField(&out, "terminated", service.terminated, &first);
+  AppendJsonField(&out, "escalated", service.escalated, &first);
+  AppendJsonField(&out, "budget_exhausted", service.budget_exhausted, &first);
   out += "}}";
 
   out += ",\"outcome\":{";
@@ -689,40 +538,16 @@ std::string CampaignReportJson(const Options& options, const CampaignResult& res
 }
 
 int RunInjectCampaign(const Options& options) {
-  CampaignResult result = RunCampaign(options);
+  auto run = [&options] {
+    return RunFaultCampaign(options.seed, options.inject_count, options.inject_horizon,
+                            ConfigFor(options));
+  };
+  FaultCampaignResult result = run();
 
   if (options.inject_verify) {
-    CampaignResult replay = RunCampaign(options);
+    FaultCampaignResult replay = run();
     if (replay.system->now() != result.system->now() ||
         replay.fingerprint != result.fingerprint) {
-      if (std::getenv("IMAX_INJECT_DEBUG") != nullptr) {
-        auto a = result.system->machine().trace().Snapshot();
-        auto b = replay.system->machine().trace().Snapshot();
-        for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-          if (a[i].ts != b[i].ts || a[i].kind != b[i].kind || a[i].a != b[i].a ||
-              a[i].b != b[i].b || a[i].c != b[i].c || a[i].process != b[i].process ||
-              a[i].cpu != b[i].cpu) {
-            std::fprintf(stderr,
-                         "first diff at event %zu:\n  A ts=%llu kind=%s cpu=%u proc=%u "
-                         "a=%u b=%u c=%u\n  B ts=%llu kind=%s cpu=%u proc=%u a=%u b=%u "
-                         "c=%u\n",
-                         i, static_cast<unsigned long long>(a[i].ts),
-                         TraceEventKindName(a[i].kind), a[i].cpu, a[i].process, a[i].a,
-                         a[i].b, a[i].c, static_cast<unsigned long long>(b[i].ts),
-                         TraceEventKindName(b[i].kind), b[i].cpu, b[i].process, b[i].a,
-                         b[i].b, b[i].c);
-            break;
-          }
-        }
-        std::fprintf(stderr, "sizes: A=%zu B=%zu\n", a.size(), b.size());
-        for (size_t i = std::min(a.size(), b.size());
-             i < std::max(a.size(), b.size()); ++i) {
-          const auto& e = (a.size() > b.size() ? a : b)[i];
-          std::fprintf(stderr, "  extra[%zu] ts=%llu kind=%s cpu=%u proc=%u a=%u b=%u c=%u\n",
-                       i, static_cast<unsigned long long>(e.ts), TraceEventKindName(e.kind),
-                       e.cpu, e.process, e.a, e.b, e.c);
-        }
-      }
       std::fprintf(stderr,
                    "FAIL: replay diverged (cycles %llu vs %llu, fingerprint %016llx vs "
                    "%016llx)\n",
@@ -799,7 +624,7 @@ std::string CrashReportJson(const CrashCampaignReport& report) {
   AppendJsonField(&out, "horizon", report.config.horizon, &first);
   AppendJsonField(&out, "processors", static_cast<uint64_t>(report.config.processors),
                   &first);
-  AppendJsonField(&out, "checkpoint_interval", report.config.checkpoint_interval, &first);
+  AppendJsonField(&out, "checkpoint_interval", kCrashCheckpointInterval, &first);
 
   out += "},\"campaign\":{";
   first = true;
@@ -930,49 +755,6 @@ int RunPowerCutCampaign(const Options& options) {
   return 0;
 }
 
-int RunOverhead(const Options& options) {
-  using Clock = std::chrono::steady_clock;
-  // Warm-up run so first-touch costs (page faults, allocator growth) hit neither side.
-  RunWorkload(options, /*trace=*/false);
-
-  // Host timing on a millisecond workload is noisy; alternate the two configurations and
-  // compare best-of-N, which discards scheduler interference instead of averaging it in.
-  constexpr int kRepeats = 7;
-  double off_us = 1e300;
-  double on_us = 1e300;
-  std::unique_ptr<System> untraced;
-  std::unique_ptr<System> traced;
-  for (int i = 0; i < kRepeats; ++i) {
-    auto t0 = Clock::now();
-    untraced = RunWorkload(options, /*trace=*/false);
-    auto t1 = Clock::now();
-    traced = RunWorkload(options, /*trace=*/true);
-    auto t2 = Clock::now();
-    if (untraced == nullptr || traced == nullptr) {
-      return 1;
-    }
-    off_us = std::min(off_us, std::chrono::duration<double, std::micro>(t1 - t0).count());
-    on_us = std::min(on_us, std::chrono::duration<double, std::micro>(t2 - t1).count());
-  }
-
-  std::printf("workload %s: trace off %.0f us, trace on %.0f us, overhead %+.1f%% "
-              "(best of %d)\n",
-              options.workload.c_str(), off_us, on_us, (on_us / off_us - 1.0) * 100.0,
-              kRepeats);
-  std::printf("events recorded: %llu (dropped %llu)\n",
-              static_cast<unsigned long long>(traced->machine().trace().total_emitted()),
-              static_cast<unsigned long long>(traced->machine().trace().dropped()));
-  if (traced->now() != untraced->now()) {
-    std::printf("FAIL: tracing changed virtual time (%llu vs %llu cycles)\n",
-                static_cast<unsigned long long>(traced->now()),
-                static_cast<unsigned long long>(untraced->now()));
-    return 1;
-  }
-  std::printf("virtual time identical with tracing on/off: %llu cycles\n",
-              static_cast<unsigned long long>(traced->now()));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -994,12 +776,8 @@ int main(int argc, char** argv) {
       options.metrics = value();
     } else if (arg == "--processors") {
       options.processors = std::atoi(value());
-    } else if (arg == "--cycles") {
-      options.cycles = static_cast<Cycles>(std::strtoull(value(), nullptr, 10));
     } else if (arg == "--trace-capacity") {
       options.trace_capacity = static_cast<uint32_t>(std::strtoul(value(), nullptr, 10));
-    } else if (arg == "--overhead") {
-      options.overhead = true;
     } else if (arg == "--inject") {
       options.inject_count = static_cast<uint32_t>(std::strtoul(value(), nullptr, 10));
     } else if (arg == "--seed") {
@@ -1041,11 +819,8 @@ int main(int argc, char** argv) {
   if (options.inject_count > 0) {
     return RunInjectCampaign(options);
   }
-  if (options.overhead) {
-    return RunOverhead(options);
-  }
 
-  auto system = RunWorkload(options, /*trace=*/true);
+  auto system = RunWorkload(options);
   if (system == nullptr) {
     return 1;
   }
