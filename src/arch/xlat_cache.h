@@ -2,9 +2,9 @@
 //
 // Every checked access through the AddressingUnit funnels through ObjectTable::Resolve — a
 // capacity check plus allocated/generation validation per access. The running process's own
-// context, process and processor objects bypass it (the kernel's step frame pins their
-// descriptors once per step event; see Kernel::StepFrame and ObjectView in proc/layouts.h),
-// and the frame fetches the program only at an event's first instruction or after a call,
+// context, process and processor objects bypass it (each GDP's step frame keeps their
+// descriptors pinned while the process stays bound; see Kernel::StepFrame and ObjectView in
+// proc/layouts.h), and the frame fetches the program only when it is built or after a call,
 // return, segment-slot store, segment destruction or store change, so what reaches it per
 // instruction is the operand objects the instruction touches, plus those program fetches.
 // Each 432 processor kept the hot descriptors in an on-chip cache that every access went

@@ -56,6 +56,14 @@ Kernel::Kernel(Machine* machine, MemoryManager* memory)
   effect_graph_.MarkExternalSender(default_dispatch_port_.index());
   effect_graph_.MarkExternalReceiver(default_dispatch_port_.index());
   effect_graph_.set_symbols(&symbols_);
+  machine_->events().SetProcessorHandler([this](uint32_t arg) {
+    const uint16_t processor_id = static_cast<uint16_t>(arg >> 1);
+    if ((arg & 1) != 0) {
+      ProcessorFetch(processor_id);
+    } else {
+      ProcessorStep(processor_id);
+    }
+  });
 
   // Hot-patching a segment (ProgramStore::Replace) invalidates every summary computed for
   // the old code.
@@ -130,9 +138,10 @@ Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
 
     processors_.push_back(ProcessorRec{id, object, port, AccessDescriptor(), machine_->now(),
                                        false, false, 0});
+    frames_.emplace_back();
     machine_->profiler().OnProcessorAdded(id, machine_->now());
     // The processor comes online and immediately looks for work.
-    machine_->events().ScheduleAfter(0, [this, id] { ProcessorFetch(id); });
+    ScheduleFetch(machine_->now(), id);
   }
   return Status::Ok();
 }
@@ -525,8 +534,7 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
     proc.set_state(ProcessState::kStopped);
     NotifyEvent(process, ProcessEvent::kStopped);
     machine_->profiler().ChargeCpu(rec.id, CycleBucket::kDispatch, cycles::kDispatch);
-    machine_->events().ScheduleAfter(cycles::kDispatch,
-                                     [this, id = rec.id] { ProcessorFetch(id); });
+    ScheduleFetch(machine_->now() + cycles::kDispatch, rec.id);
     return;
   }
   ObjectView processor(&machine_->addressing(), rec.object);
@@ -562,7 +570,7 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
   machine_->latency().dispatch_latency.Record(done - machine_->now());
   machine_->trace().Emit(TraceEventKind::kDispatch, machine_->now(), rec.id, process.index(),
                          static_cast<uint32_t>(done - machine_->now()));
-  machine_->events().ScheduleAt(done, [this, id = rec.id] { ProcessorStep(id); });
+  ScheduleStep(done, rec.id);
 }
 
 void Kernel::Requeue(const AccessDescriptor& process) {
@@ -582,8 +590,7 @@ void Kernel::ProcessorFetch(uint16_t processor_id) {
     // Transient stall: come back for work once the processor re-arbitrates.
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
                                    rec.stall_until - machine_->now());
-    machine_->events().ScheduleAt(rec.stall_until,
-                                  [this, processor_id] { ProcessorFetch(processor_id); });
+    ScheduleFetch(rec.stall_until, processor_id);
     return;
   }
   rec.current = AccessDescriptor();
@@ -646,21 +653,26 @@ Cycles Kernel::ChargeCycles(uint16_t cpu, StepFrame& frame, Cycles compute, Cycl
 }
 
 void Kernel::ProcessorStep(uint16_t processor_id) {
-  StepFrame frame;
+  StepFrame frame = frames_[processor_id];
+  if (!frame.PinsHold()) {
+    // Something between the events freed, reused, quarantined or swapped out a pinned
+    // object, or the frame was never built: start empty, for the first instruction to build.
+    frame = StepFrame{};
+  }
   Cycles next = 0;
   while (StepInstruction(processor_id, frame, &next)) {
     if (!machine_->events().TryContinueAt(next)) {
-      machine_->events().ScheduleAt(next, [this, processor_id] { ProcessorStep(processor_id); });
-      return;
+      ScheduleStep(next, processor_id);
+      break;
     }
   }
+  frames_[processor_id] = frame;
 }
 
 void Kernel::FaultAndFetch(uint16_t processor_id, ProcessView& proc, Fault fault) {
   RaiseFault(proc, fault);
   machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery, cycles::kDispatch);
-  machine_->events().ScheduleAfter(cycles::kDispatch,
-                                   [this, processor_id] { ProcessorFetch(processor_id); });
+  ScheduleFetch(machine_->now() + cycles::kDispatch, processor_id);
 }
 
 bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* next) {
@@ -672,13 +684,13 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     // Transient stall: the bound process resumes exactly here once the stall lifts.
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
                                    rec.stall_until - machine_->now());
-    machine_->events().ScheduleAt(rec.stall_until,
-                                  [this, processor_id] { ProcessorStep(processor_id); });
+    ScheduleStep(rec.stall_until, processor_id);
     return false;
   }
   AddressingUnit& au = machine_->addressing();
   // The running process's system objects are validated when the frame is built, then read
-  // and written through their pinned descriptors for the rest of the event (DESIGN.md §10).
+  // and written through their pinned descriptors while ProcessorStep finds the pins holding
+  // (DESIGN.md §10).
   if (frame.proc.ad() != rec.current) {
     frame = StepFrame{};
     frame.proc = ProcessView(&au, rec.current, kPin);
@@ -691,8 +703,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     proc.set_state(ProcessState::kStopped);
     NotifyEvent(rec.current, ProcessEvent::kStopped);
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kDispatch, cycles::kSimpleOp);
-    machine_->events().ScheduleAfter(cycles::kSimpleOp,
-                                     [this, processor_id] { ProcessorFetch(processor_id); });
+    ScheduleFetch(machine_->now() + cycles::kSimpleOp, processor_id);
     return false;
   }
 
@@ -769,8 +780,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
         ++stats_.swap_faults;
         Cycles done =
             ChargeCycles(processor_id, frame, cost.value(), 0, CycleBucket::kMemoryWait);
-        machine_->events().ScheduleAt(done,
-                                      [this, processor_id] { ProcessorStep(processor_id); });
+        ScheduleStep(done, processor_id);
         return false;
       }
       fault = cost.fault();
@@ -799,8 +809,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
         machine_->trace().Emit(TraceEventKind::kPreempt, done, rec.id, rec.current.index());
         proc.set_slice_used(0);
         machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
-        machine_->events().ScheduleAt(done,
-                                      [this, processor_id] { ProcessorFetch(processor_id); });
+        ScheduleFetch(done, processor_id);
       } else {
         *next = done;
         return true;
@@ -810,21 +819,18 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     case StepEffect::Kind::kYield: {
       proc.set_slice_used(0);
       machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
-      machine_->events().ScheduleAt(done,
-                                    [this, processor_id] { ProcessorFetch(processor_id); });
+      ScheduleFetch(done, processor_id);
       break;
     }
     case StepEffect::Kind::kBlocked: {
       ++stats_.blocks;
-      machine_->events().ScheduleAt(done,
-                                    [this, processor_id] { ProcessorFetch(processor_id); });
+      ScheduleFetch(done, processor_id);
       break;
     }
     case StepEffect::Kind::kTerminated: {
       TerminateProcess(proc, /*faulted=*/false);
       NotifyEvent(rec.current, ProcessEvent::kTerminated);
-      machine_->events().ScheduleAt(done,
-                                    [this, processor_id] { ProcessorFetch(processor_id); });
+      ScheduleFetch(done, processor_id);
       break;
     }
   }

@@ -7,12 +7,13 @@
 // disposes of the complex objects (processes, contexts, domains), and delivers faults to
 // fault ports under the iMAX internal-level rules (§7.3).
 //
-// All activity happens in virtual time on the Machine's event queue. A processor's step is an
-// event; after an instruction that leaves its process running, the step goes straight on to
-// the next instruction when that one would be the next event anyway, and schedules it
-// otherwise (EventQueue::TryContinueAt). The instructions of one step event share a step
-// frame holding the running process's pinned objects and program. Compute cycles are local
-// to the processor; bus cycles are serialized on the shared interconnect.
+// All activity happens in virtual time on the Machine's event queue. A processor's step is a
+// processor event (no closure); after an instruction that leaves its process running, the
+// step goes straight on to the next instruction when that one would be the next event
+// anyway, and schedules it otherwise (EventQueue::TryContinueAt). Each GDP keeps one step
+// frame holding its bound process's pinned objects and program, from one event to the next,
+// and revalidates it at the start of each event. Compute cycles are local to the processor;
+// bus cycles are serialized on the shared interconnect.
 
 #ifndef IMAX432_SRC_EXEC_KERNEL_H_
 #define IMAX432_SRC_EXEC_KERNEL_H_
@@ -323,11 +324,14 @@ class Kernel {
     Cycles bus = 0;
   };
 
-  // The running process's objects for one ProcessorStep event: its pinned process view, the
-  // pinned processor view, the pinned view of its current context, and the program that
-  // context executes, with the segment AD it was fetched through, that segment's descriptor
-  // and the ProgramStore::version() at the fetch. A local of ProcessorStep, so nothing
-  // another agent does between events is ever seen through it (DESIGN.md §10).
+  // A GDP's bound process's objects, the descriptors the 432 kept on chip: the pinned process
+  // view, the pinned processor view, the pinned view of the process's current context, and
+  // the program that context executes, with the segment AD it was fetched through, that
+  // segment's descriptor and the ProgramStore::version() at the fetch. One per GDP, kept from
+  // one event to the next. Another GDP, the collector, the patrol, the fault injector or host
+  // code may act between two events, so each event reuses the frame only while every pinned
+  // view still passes the checks a new pin makes; otherwise it starts from an empty frame,
+  // which the first instruction builds (DESIGN.md §10).
   struct StepFrame {
     ProcessView proc;
     ObjectView processor;
@@ -336,20 +340,24 @@ class Kernel {
     AccessDescriptor segment;
     const ObjectDescriptor* segment_descriptor = nullptr;
     uint64_t program_version = 0;
+
+    bool PinsHold() const { return proc.PinHolds() && processor.PinHolds() && ctx.PinHolds(); }
   };
 
   // Runs the process bound to the processor: one instruction, then each following one that
   // would be the next event anyway (EventQueue::TryContinueAt); otherwise schedules itself.
-  // Every instruction of the event shares one StepFrame.
+  // The GDP's StepFrame is copied in from frames_, emptied unless its pins still hold, shared
+  // by every instruction of the event and copied back out (a step may grow frames_ through a
+  // service or handler that adds processors).
   void ProcessorStep(uint16_t processor_id);
-  // One instruction. The event's first instruction builds `frame`; each continued one
-  // revalidates it: a different bound process rebuilds it, a different context AD in the
-  // process's context slot re-pins the context and refetches the program, and the program is
-  // refetched unless the context's instruction-segment slot still holds the AD it was
-  // fetched through, that segment is still live and ProgramStore::version() has not moved.
-  // Returns true, with its completion time in `*next`, when the process goes on to its next
-  // instruction here: a kContinue step inside the time slice. Otherwise the step has already
-  // scheduled whatever comes next.
+  // One instruction. An empty frame is built here; every instruction revalidates the frame:
+  // a different bound process rebuilds it, a different context AD in the process's context
+  // slot re-pins the context and refetches the program, and the program is refetched unless
+  // the context's instruction-segment slot still holds the AD it was fetched through, that
+  // segment is still live and ProgramStore::version() has not moved. Returns true, with its
+  // completion time in `*next`, when the process goes on to its next instruction here: a
+  // kContinue step inside the time slice. Otherwise the step has already scheduled whatever
+  // comes next.
   bool StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* next);
   // Raises `fault` on the process and has the processor look for other work after the
   // fault-recovery charge.
@@ -360,6 +368,15 @@ class Kernel {
   void Requeue(const AccessDescriptor& process);
   // Tries to bind the next ready process; goes idle if none.
   void ProcessorFetch(uint16_t processor_id);
+  // Schedule the processor's step or fetch as a processor event, whose argument is the
+  // processor id shifted left one bit, plus one for a fetch (the handler the constructor
+  // installs decodes it).
+  void ScheduleStep(Cycles when, uint16_t processor_id) {
+    machine_->events().ScheduleProcessorAt(when, uint32_t{processor_id} << 1);
+  }
+  void ScheduleFetch(Cycles when, uint16_t processor_id) {
+    machine_->events().ScheduleProcessorAt(when, uint32_t{processor_id} << 1 | 1);
+  }
   // Binds `process` to the processor and schedules its first step after dispatch latency.
   void BindProcess(ProcessorRec& rec, const AccessDescriptor& process);
 
@@ -443,6 +460,7 @@ class Kernel {
   PortSubsystem ports_;
   ProgramStore programs_;
   std::vector<ProcessorRec> processors_;
+  std::vector<StepFrame> frames_;  // each GDP's step frame, between its step events
   std::map<uint32_t, ServiceFn> services_;
   ProcessEventFn process_event_handler_;
   std::vector<RootProviderFn> root_providers_;

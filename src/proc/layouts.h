@@ -198,16 +198,16 @@ inline constexpr PinTag kPin{};
 // held the running process's on chip. The descriptor is validated once, at construction:
 // allocated, matching generation, not quarantined, resident, read+write rights. Fields are
 // then read and written through it with no table resolve and no translation probe; the
-// kernel's step frame keeps the running process's views pinned for a whole step event
-// (DESIGN.md §10). Every access still checks liveness and bounds, so touching a pinned view
-// of a destroyed object aborts like any other view; every data write bumps data_epoch as the
-// checked path does; and slot writes still go through WriteAdPrivileged, which shades the
-// moved AD gray. A view that fails validation takes the checked path. The pinned paths are
-// forced inline, so at a call site with a constant width a field access compiles to its
-// checks plus one fixed-width load or store. So are the named accessors the interpreter
-// reads or writes on every instruction (the process's context, stop count and slice used,
-// the context's pc and instruction segment), which would otherwise be left out of line in
-// Kernel::StepInstruction.
+// kernel's step frame keeps the running process's views pinned from one step event to the
+// next, for as long as PinHolds() (DESIGN.md §10). Every access still checks liveness and
+// bounds, so touching a pinned view of a destroyed object aborts like any other view; every
+// data write bumps data_epoch as the checked path does; and slot writes still go through
+// WriteAdPrivileged, which shades the moved AD gray. A view that fails validation takes the
+// checked path. The pinned paths are forced inline, so at a call site with a constant width
+// a field access compiles to its checks plus one fixed-width load or store. So are the named
+// accessors the interpreter reads or writes on every instruction (the process's context,
+// stop count and slice used, the context's pc and instruction segment), which would
+// otherwise be left out of line in Kernel::StepInstruction.
 class ObjectView {
  public:
   ObjectView() = default;  // a null view, for a frame not yet built
@@ -254,6 +254,16 @@ class ObjectView {
   const AccessDescriptor& ad() const { return ad_; }
   AddressingUnit* unit() const { return unit_; }
 
+  // True when the view is pinned and its descriptor still passes the checks the pin made:
+  // allocated at the view's generation, not quarantined, resident (the AD's rights cannot
+  // change). Every pinned access requires it; the step frame asks before reusing a view in a
+  // later event.
+  __attribute__((always_inline)) bool PinHolds() const {
+    return pinned_ != nullptr && pinned_->allocated &&
+           pinned_->generation == ad_.generation() && !pinned_->quarantined &&
+           !pinned_->swapped_out;
+  }
+
  private:
   // The addressing-unit paths, kept out of line so the pinned paths inline at every call.
   __attribute__((noinline)) uint64_t CheckedField(uint32_t offset, uint32_t width) const {
@@ -292,12 +302,10 @@ class ObjectView {
     return resolved.value();
   }
 
-  // Aborts unless the pinned object is still the live, resident, unquarantined object the
-  // view pinned and the access is `in_bounds`.
+  // Aborts unless the pin still holds and the access is `in_bounds`.
   __attribute__((always_inline)) void CheckPinned(bool in_bounds, uint32_t offset,
                                                   uint32_t width) const {
-    if (!in_bounds || !pinned_->allocated || pinned_->generation != ad_.generation() ||
-        pinned_->quarantined || pinned_->swapped_out) {
+    if (!in_bounds || !PinHolds()) {
       PinnedAccessFailed(offset, width);
     }
   }

@@ -801,7 +801,7 @@ TEST_F(KernelTest, RunBoundedCountsInstructionsContinuedInline) {
   EXPECT_EQ(ctx.pc(), 47u);
 }
 
-// --- The step frame: the running process's pinned objects and program for one event ---
+// --- The step frame: a GDP's bound process's pinned objects and program ---
 
 // An OsCall service hot-patches the running segment. The instruction after the call is
 // continued inline in the same event, and the frame refetches on the moved store version, so
@@ -907,6 +907,99 @@ TEST(KernelStepFrameTest, DestroyingTheRunningSegmentFaultsTheNextInlineInstruct
   EXPECT_EQ(view.state(), ProcessState::kTerminated);
   EXPECT_EQ(view.fault_code(), Fault::kInvalidAccess);
   EXPECT_EQ(kernel.stats().faults_delivered, 1u);
+}
+
+// A GDP keeps its step frame from one event to the next. Between two step events of a loop
+// alone on its GDP, host code frees the loop's current context, and with `reuse` hands the
+// table slot to a new object at the next generation. The process's context slot still holds
+// the old AD and the frame a pinned view of the old context. The next event finds that pin
+// no longer holds and starts from an empty frame, so the process faults with kInvalidAccess
+// at its instruction boundary, as a frame built in that event does (the context no longer
+// resolves), and nothing is read through the stale pin.
+void FreeTheContextBetweenEvents(bool reuse) {
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  Kernel kernel(&machine, &memory);
+  ASSERT_TRUE(kernel.AddProcessors(1).ok());
+  auto fault_port = kernel.ports().CreatePort(memory.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(fault_port.ok());
+  Assembler a("spin");
+  auto loop = a.NewLabel();
+  a.Bind(loop).AddImm(0, 0, 1).Branch(loop);
+  ProcessOptions options;
+  options.fault_port = fault_port.value();
+  auto process = kernel.CreateProcess(a.Build(), options);
+  ASSERT_TRUE(process.ok());
+  ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
+
+  kernel.RunUntil(5000);  // mid-loop: the next step is a pending event
+  ProcessView view = kernel.process_view(process.value());
+  ASSERT_EQ(view.state(), ProcessState::kRunning);
+  const AccessDescriptor context = view.context();
+  const uint64_t executed = kernel.stats().instructions_executed;
+  ASSERT_GT(executed, 100u);
+
+  auto doomed = machine.table().MintAd(context.index(), rights::kDelete);
+  ASSERT_TRUE(doomed.ok());
+  ASSERT_TRUE(memory.DestroyObject(doomed.value()).ok());
+  if (reuse) {
+    auto tenant = memory.CreateObject(memory.global_heap(), SystemType::kContext,
+                                      ContextLayout::kDataBytes, ContextLayout::kAccessSlots,
+                                      rights::kRead | rights::kWrite);
+    ASSERT_TRUE(tenant.ok());
+    ASSERT_EQ(tenant.value().index(), context.index());
+    ASSERT_NE(tenant.value().generation(), context.generation());
+  }
+
+  kernel.Run();
+  EXPECT_EQ(view.state(), ProcessState::kFaulted);
+  EXPECT_EQ(view.fault_code(), Fault::kInvalidAccess);
+  EXPECT_EQ(kernel.stats().faults_delivered, 1u);
+  EXPECT_EQ(kernel.stats().instructions_executed, executed);
+  auto queued = kernel.ports().Dequeue(fault_port.value());
+  ASSERT_TRUE(queued.ok());
+  EXPECT_TRUE(queued.value().SameObject(process.value()));
+}
+
+TEST(KernelStepFrameTest, AContextFreedBetweenEventsFaultsAsAFreshFrameDoes) {
+  FreeTheContextBetweenEvents(/*reuse=*/false);
+}
+
+TEST(KernelStepFrameTest, AContextSlotReusedBetweenEventsFaultsAsAFreshFrameDoes) {
+  FreeTheContextBetweenEvents(/*reuse=*/true);
+}
+
+// A frame kept across events serves the next event without a rebuild only while its pins
+// hold; whatever breaks a pin between events is caught by the same checks a pinned access
+// makes.
+TEST(KernelStepFrameTest, PinHoldsOnlyWhileThePinChecksPass) {
+  Machine machine(SmallConfig());
+  BasicMemoryManager memory(&machine);
+  auto object = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 16, 1,
+                                    rights::kRead | rights::kWrite | rights::kDelete);
+  ASSERT_TRUE(object.ok());
+  ObjectDescriptor& descriptor = machine.table().At(object.value().index());
+  ObjectView pinned(&machine.addressing(), object.value(), kPin);
+  EXPECT_TRUE(pinned.PinHolds());
+  EXPECT_FALSE(ObjectView(&machine.addressing(), object.value()).PinHolds());  // not pinned
+  EXPECT_FALSE(ObjectView().PinHolds());
+
+  descriptor.quarantined = true;
+  EXPECT_FALSE(pinned.PinHolds());
+  descriptor.quarantined = false;
+  descriptor.swapped_out = true;
+  EXPECT_FALSE(pinned.PinHolds());
+  descriptor.swapped_out = false;
+  EXPECT_TRUE(pinned.PinHolds());
+
+  ASSERT_TRUE(memory.DestroyObject(object.value()).ok());
+  EXPECT_FALSE(pinned.PinHolds());
+  auto tenant = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 16, 1,
+                                    rights::kRead | rights::kWrite);
+  ASSERT_TRUE(tenant.ok());
+  ASSERT_EQ(tenant.value().index(), object.value().index());
+  EXPECT_FALSE(pinned.PinHolds());  // allocated again, at another generation
+  EXPECT_TRUE(ObjectView(&machine.addressing(), tenant.value(), kPin).PinHolds());
 }
 
 // A domain call and its return switch the process's context twice inside one event: the

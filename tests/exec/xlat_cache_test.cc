@@ -188,51 +188,61 @@ SystemConfig CounterConfig() {
   return config;
 }
 
+// CounterConfig with a time slice short enough that processes sharing the GDP take turns
+// many times within a test's loop.
+SystemConfig SlicedConfig() {
+  SystemConfig config = CounterConfig();
+  config.machine.time_slice = 2000;
+  return config;
+}
+
 struct RunOutcome {
   Cycles now = 0;
   uint64_t instructions = 0;
   uint64_t counter = 0;
 };
 
-// Runs to completion in RunUntil slices. A one-process loop is otherwise a single step event
-// whose frame fetches the program once; each slice boundary schedules the step, so the first
-// instruction of the next slice fetches again, which is where the program tier serves.
-void RunInSlices(System& system) {
-  constexpr Cycles kSlice = 2000;
-  while (!system.machine().events().idle()) {
-    system.RunUntil(system.now() + kSlice);
+// Runs `processes` counter loops, each on its own object, to completion; `counter` is the
+// first loop's count, and every other loop must reach the same.
+RunOutcome RunCounterWorkload(System& system, uint32_t iters, int processes = 1) {
+  std::vector<AccessDescriptor> shared;
+  for (int i = 0; i < processes; ++i) {
+    auto object = system.memory().CreateObject(system.memory().global_heap(),
+                                               SystemType::kGeneric, 64, 0,
+                                               rights::kRead | rights::kWrite);
+    EXPECT_TRUE(object.ok());
+    shared.push_back(object.value());
+    Assembler a = CounterLoop("xlat.counter", iters);
+    ProcessOptions options;
+    options.initial_arg = object.value();
+    EXPECT_TRUE(system.Spawn(a.Build(), options).ok());
   }
-}
-
-// Runs the counter loop to completion with System::Run, or in RunInSlices' slices when
-// `in_slices` is set.
-RunOutcome RunCounterWorkload(System& system, uint32_t iters, bool in_slices = false) {
-  auto shared = system.memory().CreateObject(system.memory().global_heap(),
-                                             SystemType::kGeneric, 64, 0,
-                                             rights::kRead | rights::kWrite);
-  EXPECT_TRUE(shared.ok());
-  Assembler a = CounterLoop("xlat.counter", iters);
-  ProcessOptions options;
-  options.initial_arg = shared.value();
-  EXPECT_TRUE(system.Spawn(a.Build(), options).ok());
-  if (in_slices) {
-    RunInSlices(system);
-  } else {
-    system.Run();
-  }
+  system.Run();
   RunOutcome outcome;
   outcome.now = system.machine().now();
   outcome.instructions = system.kernel().stats().instructions_executed;
-  auto counter = system.machine().addressing().ReadData(shared.value(), 0, 8);
-  EXPECT_TRUE(counter.ok());
-  outcome.counter = counter.value();
+  for (size_t i = 0; i < shared.size(); ++i) {
+    auto counter = system.machine().addressing().ReadData(shared[i], 0, 8);
+    EXPECT_TRUE(counter.ok());
+    if (i == 0) {
+      outcome.counter = counter.value();
+    } else {
+      EXPECT_EQ(counter.value(), outcome.counter);
+    }
+  }
   return outcome;
 }
 
+// Two counter loops time-sliced on one GDP. A GDP keeps its step frame, and with it the
+// fetched program, from one event to the next while the same process stays bound, so a loop
+// alone on its GDP fetches its program once. Every slice end here binds the other loop,
+// whose frame is rebuilt and whose program is fetched again, which is where the program
+// tier serves.
 TEST(XlatKernelTest, HotLoopPopulatesBothCacheTiers) {
-  System system(CounterConfig());
-  RunOutcome outcome = RunCounterWorkload(system, 200, /*in_slices=*/true);
+  System system(SlicedConfig());
+  RunOutcome outcome = RunCounterWorkload(system, 200, /*processes=*/2);
   EXPECT_EQ(outcome.counter, 200u);
+  EXPECT_GT(system.kernel().stats().time_slice_ends, 4u);
   XlatCacheStats stats = system.kernel().xlat_stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.program_hits, 0u);
@@ -340,11 +350,13 @@ TEST(XlatKernelTest, ProcessorsShareOneCache) {
 // Hot-patches the running process's segment mid-loop with code that adds 10 per iteration
 // instead of 1. The patched loop has the same shape, so the saved pc stays meaningful.
 // Nothing clears the cache: the program payload must go stale on the store version and the
-// segment's data_epoch alone.
+// segment's data_epoch alone. With `neighbour`, a second loop shares the GDP in short time
+// slices, so the counter's program is fetched again at every rebind and the program tier
+// serves it; alone, the counter keeps its frame and fetches once.
 constexpr uint32_t kPatchedIters = 1000;
 
-RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch) {
-  System system(CounterConfig());
+RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch, bool neighbour) {
+  System system(neighbour ? SlicedConfig() : CounterConfig());
   auto shared = system.memory().CreateObject(system.memory().global_heap(),
                                              SystemType::kGeneric, 64, 0,
                                              rights::kRead | rights::kWrite);
@@ -354,10 +366,17 @@ RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch) {
   options.initial_arg = shared.value();
   auto process = system.Spawn(original.Build(), options);
   EXPECT_TRUE(process.ok());
-  // Mid-loop, with the step resumed at the 10000 boundary: that fetch hit the cached
-  // translation.
-  system.RunUntil(10000);
-  system.RunUntil(20000);
+  if (neighbour) {
+    auto other = system.memory().CreateObject(system.memory().global_heap(),
+                                              SystemType::kGeneric, 64, 0,
+                                              rights::kRead | rights::kWrite);
+    EXPECT_TRUE(other.ok());
+    ProcessOptions other_options;
+    other_options.initial_arg = other.value();
+    EXPECT_TRUE(
+        system.Spawn(CounterLoop("xlat.neighbour", kPatchedIters).Build(), other_options).ok());
+  }
+  system.RunUntil(20000);  // mid-loop
   *program_hits_before_patch = system.kernel().xlat_stats().program_hits;
 
   ContextView ctx(&system.machine().addressing(),
@@ -376,19 +395,34 @@ RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch) {
   return outcome;
 }
 
-// The uncached reference: RunPatchedCounter with the translation cache off, as measured at
-// commit 365b855, the last one with an uncached mode.
+// The uncached reference: RunPatchedCounter alone with the translation cache off, as measured
+// at commit 365b855, the last one with an uncached mode.
 constexpr uint64_t kUncachedPatchedCounter = 6355;
 constexpr Cycles kUncachedPatchedNow = 48562;
 constexpr uint64_t kUncachedPatchedInstructions = 5004;
 
+// The reference with the neighbour, measured with a step frame rebuilt at every event (commit
+// 0ecb009, the last one that did so). Neither the cache nor the frame charges cycles, so the
+// run must match it exactly.
+constexpr uint64_t kSlicedPatchedCounter = 8506;
+constexpr Cycles kSlicedPatchedNow = 120676;
+constexpr uint64_t kSlicedPatchedInstructions = 10008;
+
 TEST(XlatKernelTest, ReplacedSegmentRunsTheNewCodeWithTheCacheOn) {
   uint64_t hits_on = 0;
-  RunOutcome on = RunPatchedCounter(&hits_on);
+  RunOutcome sliced = RunPatchedCounter(&hits_on, /*neighbour=*/true);
   EXPECT_GT(hits_on, 0u);  // the old code was being served from the cache at the patch
 
   // Some iterations ran the old code and the rest the new: the counter is neither the
   // all-old nor the all-new total.
+  EXPECT_GT(sliced.counter, kPatchedIters);
+  EXPECT_LT(sliced.counter, 10 * kPatchedIters);
+  EXPECT_EQ(sliced.counter, kSlicedPatchedCounter);
+  EXPECT_EQ(sliced.now, kSlicedPatchedNow);
+  EXPECT_EQ(sliced.instructions, kSlicedPatchedInstructions);
+
+  uint64_t hits_alone = 0;
+  RunOutcome on = RunPatchedCounter(&hits_alone, /*neighbour=*/false);
   EXPECT_GT(on.counter, kPatchedIters);
   EXPECT_LT(on.counter, 10 * kPatchedIters);
   EXPECT_EQ(on.counter, kUncachedPatchedCounter);

@@ -158,5 +158,92 @@ TEST(EventQueueTest, ContinuationsAreNotCountedInTheReturnValue) {
   EXPECT_EQ(queue.now(), 9u);
 }
 
+// --- Processor events ---------------------------------------------------------------------
+
+// Records every processor event as its negated argument minus one, so the two kinds share
+// one log: closures log non-negative ids, processor event `arg` logs -(arg + 1).
+void LogProcessorEvents(EventQueue& queue, std::vector<int>* order) {
+  queue.SetProcessorHandler(
+      [order](uint32_t arg) { order->push_back(-static_cast<int>(arg) - 1); });
+}
+
+TEST(EventQueueTest, ProcessorAndClosureEventsAtEqualTimesRunInSchedulingOrder) {
+  EventQueue queue;
+  std::vector<int> order;
+  LogProcessorEvents(queue, &order);
+  queue.ScheduleProcessorAt(5, 0);
+  queue.ScheduleAt(5, [&] { order.push_back(1); });
+  queue.ScheduleProcessorAt(5, 7);
+  queue.ScheduleAt(5, [&] { order.push_back(2); });
+  queue.ScheduleProcessorAt(3, 2);  // earlier, scheduled last: still first
+  EXPECT_EQ(queue.RunUntilIdle(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{-3, -1, 1, -8, 2}));
+  EXPECT_EQ(queue.now(), 5u);
+}
+
+TEST(EventQueueTest, EachKindMayScheduleTheOther) {
+  EventQueue queue;
+  std::vector<int> order;
+  int rounds = 0;
+  // The processor event schedules a closure at its own time; the closure schedules the next
+  // processor event one cycle later, for three rounds.
+  queue.SetProcessorHandler([&](uint32_t arg) {
+    order.push_back(-static_cast<int>(arg) - 1);
+    queue.ScheduleAt(queue.now(), [&] {
+      order.push_back(rounds);
+      if (++rounds < 3) {
+        queue.ScheduleProcessorAt(queue.now() + 1, static_cast<uint32_t>(rounds));
+      }
+    });
+  });
+  queue.ScheduleAt(0, [&] { queue.ScheduleProcessorAt(0, 0); });
+  EXPECT_EQ(queue.RunUntilIdle(), 7u);
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, -2, 1, -3, 2}));
+  EXPECT_EQ(queue.now(), 2u);
+  EXPECT_TRUE(queue.idle());
+}
+
+TEST(EventQueueTest, ReusedClosureSlotsKeepSchedulingOrder) {
+  EventQueue queue;
+  std::vector<int> order;
+  LogProcessorEvents(queue, &order);
+  for (int round = 0; round < 50; ++round) {
+    // Every round reuses the slots the last one freed, in the reverse of their freeing
+    // order, with one more closure than before so the slot vector also grows. Runs must
+    // follow (time, scheduling order), never slot order.
+    order.clear();
+    const Cycles at = queue.now() + 10;
+    for (int i = 0; i <= round; ++i) {
+      queue.ScheduleAt(at, [&order, i] { order.push_back(i); });
+      if (i == round / 2) queue.ScheduleProcessorAt(at, static_cast<uint32_t>(round));
+    }
+    EXPECT_EQ(queue.RunUntilIdle(), static_cast<uint64_t>(round) + 2);
+    std::vector<int> expected;
+    for (int i = 0; i <= round; ++i) {
+      expected.push_back(i);
+      if (i == round / 2) expected.push_back(-round - 1);
+    }
+    ASSERT_EQ(order, expected) << "round " << round;
+  }
+}
+
+TEST(EventQueueTest, ContinuationIsRefusedAtOrAfterAPendingProcessorEvent) {
+  EventQueue queue;
+  std::vector<int> order;
+  LogProcessorEvents(queue, &order);
+  std::vector<bool> allowed;
+  queue.ScheduleAt(0, [&] {
+    queue.ScheduleProcessorAt(20, 4);
+    allowed.push_back(queue.TryContinueAt(20));  // a tie: the processor event runs first
+    allowed.push_back(queue.TryContinueAt(25));
+    allowed.push_back(queue.TryContinueAt(19));
+    allowed.push_back(queue.now() == 19);
+  });
+  EXPECT_EQ(queue.RunUntilIdle(), 2u);
+  EXPECT_EQ(allowed, (std::vector<bool>{false, false, true, true}));
+  EXPECT_EQ(order, (std::vector<int>{-5}));
+  EXPECT_EQ(queue.now(), 20u);
+}
+
 }  // namespace
 }  // namespace imax432

@@ -784,6 +784,12 @@ int main(int argc, char** argv) {
       options.seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--inject-horizon") {
       options.inject_horizon = static_cast<Cycles>(std::strtoull(value(), nullptr, 10));
+      if (options.inject_horizon == 0) {
+        // Injection times are drawn below the horizon, so an empty one has none to draw.
+        std::fprintf(stderr, "imax_trace: --inject-horizon must be at least 1 cycle\n");
+        Usage();
+        return 2;
+      }
     } else if (arg == "--inject-report") {
       options.inject_report = value();
     } else if (arg == "--inject-verify") {
