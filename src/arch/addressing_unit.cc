@@ -200,8 +200,7 @@ Status AddressingUnit::WriteAd(const AccessDescriptor& container, uint32_t slot,
   }
   // Hardware gray bit: shade the target of the moved reference so the on-the-fly collector
   // never loses a reachable object to a concurrent pointer move.
-  if (referenced->color == GcColor::kWhite) {
-    referenced->color = GcColor::kGray;
+  if (table_->Shade(ad.index())) {
     ++shade_count_;
   }
   object->access[slot] = ad;
@@ -215,9 +214,8 @@ Status AddressingUnit::WriteAdPrivileged(const AccessDescriptor& container, uint
     return Fault::kBoundsViolation;
   }
   if (!ad.is_null()) {
-    IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * referenced, CachedResolve(ad));
-    if (referenced->color == GcColor::kWhite) {
-      referenced->color = GcColor::kGray;
+    IMAX_RETURN_IF_FAULT(CachedResolve(ad));
+    if (table_->Shade(ad.index())) {
       ++shade_count_;
     }
   }

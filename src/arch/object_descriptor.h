@@ -22,15 +22,6 @@
 
 namespace imax432 {
 
-// Tri-color marking state for the Dijkstra et al. on-the-fly collector. The "gray bit" the
-// 432 hardware sets whenever access descriptors are moved corresponds to the kWhite -> kGray
-// transition performed by the addressing unit on every AD store.
-enum class GcColor : uint8_t {
-  kWhite = 0,  // not yet reached this cycle; candidate garbage at sweep
-  kGray,       // reached but children not yet scanned
-  kBlack,      // reached and fully scanned
-};
-
 struct ObjectDescriptor {
   bool allocated = false;
 
@@ -56,10 +47,14 @@ struct ObjectDescriptor {
   // objects it created, and so freed storage returns to the right free list.
   ObjectIndex origin_sro = kInvalidObjectIndex;
 
-  // Garbage collection state. Whether the object is GC-exempt (demoted by the lifetime
-  // analysis, so permanently black) is not recorded here but in the table's exempt bitmap:
-  // see ObjectTable::SetGcExempt.
-  GcColor color = GcColor::kWhite;
+  // How many allocated objects name this slot as their origin_sro. ObjectTable's Allocate
+  // and Free keep it, by index: a freed slot goes on counting objects that still name it,
+  // and reallocating the slot does not reset it. The table's origin bitmap mirrors
+  // origin_count > 0 for the collector's origin-liveness rule.
+  uint32_t origin_count = 0;
+
+  // The GC color and GC exemption live in the table's bitmaps: ObjectTable::color and
+  // ObjectTable::SetGcExempt.
 
   // Set once the destruction filter has seen this object; a finalized object that becomes
   // garbage again is reclaimed silently (the type manager had its chance to disassemble it).

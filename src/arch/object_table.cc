@@ -1,5 +1,7 @@
 #include "src/arch/object_table.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 
 namespace imax432 {
@@ -7,8 +9,7 @@ namespace imax432 {
 ObjectTable::ObjectTable(uint32_t capacity) {
   IMAX_CHECK(capacity > 0 && capacity < kInvalidObjectIndex);
   slots_.resize(capacity);
-  live_.assign((capacity + 63) / 64, 0);
-  exempt_.assign((capacity + 63) / 64, 0);
+  words_.resize((capacity + 63) / 64);
   free_list_.reserve(capacity);
   // Hand out low indices first: push in reverse so pop_back yields ascending order.
   for (uint32_t i = capacity; i > 0; --i) {
@@ -31,8 +32,11 @@ Result<ObjectIndex> ObjectTable::Allocate(SystemType type, Level level, PhysAddr
   ObjectDescriptor& slot = slots_[index];
   IMAX_DCHECK(!slot.allocated);
   slot.allocated = true;
-  SetBit(live_, index);
-  ClearBit(exempt_, index);
+  BitmapWord& word = WordOf(index);
+  word.live |= Bit(index);
+  word.exempt &= ~Bit(index);
+  word.gray &= ~Bit(index);
+  word.black &= ~Bit(index);
   slot.type = type;
   slot.level = level;
   slot.data_base = data_base;
@@ -40,7 +44,10 @@ Result<ObjectIndex> ObjectTable::Allocate(SystemType type, Level level, PhysAddr
   slot.access.assign(access_slots, AccessDescriptor());
   slot.type_def = kInvalidObjectIndex;
   slot.origin_sro = origin_sro;
-  slot.color = GcColor::kWhite;
+  if (origin_sro < capacity()) {
+    ++slots_[origin_sro].origin_count;
+    WordOf(origin_sro).origin |= Bit(origin_sro);
+  }
   slot.finalized = false;
   slot.swapped_out = false;
   slot.backing_slot = 0;
@@ -61,8 +68,18 @@ Status ObjectTable::Free(ObjectIndex index) {
     return Fault::kNotAllocated;
   }
   slot.allocated = false;
-  ClearBit(live_, index);
-  ClearBit(exempt_, index);
+  BitmapWord& word = WordOf(index);
+  word.live &= ~Bit(index);
+  word.exempt &= ~Bit(index);
+  word.gray &= ~Bit(index);
+  word.black &= ~Bit(index);
+  if (slot.origin_sro < capacity()) {
+    uint32_t& count = slots_[slot.origin_sro].origin_count;
+    IMAX_DCHECK(count > 0);
+    if (--count == 0) {
+      WordOf(slot.origin_sro).origin &= ~Bit(slot.origin_sro);
+    }
+  }
   slot.access.clear();
   slot.access.shrink_to_fit();
   slot.quarantined = false;
@@ -70,6 +87,32 @@ Status ObjectTable::Free(ObjectIndex index) {
   --live_count_;
   free_list_.push_back(index);
   return Status::Ok();
+}
+
+uint32_t ObjectTable::Whiten(ObjectIndex from, ObjectIndex end) {
+  IMAX_CHECK(from <= end && end <= capacity());
+  uint32_t held_black = 0;
+  while (from < end) {
+    const ObjectIndex word_base = from & ~ObjectIndex{63};
+    const ObjectIndex stop = std::min(end, word_base + 64);
+    // Bits [from, stop) of this word.
+    uint64_t mask = ~uint64_t{0} << (from - word_base);
+    if (stop - word_base < 64) {
+      mask &= (uint64_t{1} << (stop - word_base)) - 1;
+    }
+    BitmapWord& word = WordOf(from);
+    const uint64_t exempt = word.exempt & mask;
+    held_black += static_cast<uint32_t>(std::popcount(exempt));
+    word.gray &= ~mask;
+    word.black = (word.black & ~mask) | exempt;
+    from = stop;
+  }
+  return held_black;
+}
+
+bool ObjectTable::AnyWhiteOrigin() const {
+  return std::any_of(words_.begin(), words_.end(),
+                     [](const BitmapWord& word) { return (White(word) & word.origin) != 0; });
 }
 
 uint32_t ObjectTable::DescriptorChecksum(const ObjectDescriptor& descriptor) {

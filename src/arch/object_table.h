@@ -4,9 +4,12 @@
 // free list, stamps generations on reuse, and is the authority for resolving an AD to its
 // descriptor (with null / liveness / generation checks).
 //
-// Beside the descriptors the table keeps two bitmaps, one bit per slot, so the collector's
-// table scans can skip free slots: a live bitmap mirroring `ObjectDescriptor::allocated`,
-// and the GC-exempt bitmap, the only record of which objects are demoted (SetGcExempt).
+// Beside the descriptors the table keeps bitmaps, one bit per slot, so the collector finds
+// the slots it needs without reading every descriptor: a live bitmap mirroring
+// `ObjectDescriptor::allocated`; the GC-exempt bitmap, the only record of which objects are
+// demoted (SetGcExempt); the GC color as a gray and a black bitmap (white is allocated and
+// in neither); and an origin bitmap, set while some allocated object names the slot as its
+// origin SRO (`ObjectDescriptor::origin_count` > 0).
 
 #ifndef IMAX432_SRC_ARCH_OBJECT_TABLE_H_
 #define IMAX432_SRC_ARCH_OBJECT_TABLE_H_
@@ -22,6 +25,16 @@
 #include "src/base/result.h"
 
 namespace imax432 {
+
+// Tri-color marking state for the Dijkstra et al. on-the-fly collector, kept in the table's
+// gray and black bitmaps (ObjectTable::color). The "gray bit" the 432 hardware sets whenever
+// access descriptors are moved is the kWhite -> kGray transition the addressing unit makes
+// on every AD store (ObjectTable::Shade).
+enum class GcColor : uint8_t {
+  kWhite = 0,  // not yet reached this cycle; candidate garbage at sweep
+  kGray,       // reached but children not yet scanned
+  kBlack,      // reached and fully scanned
+};
 
 class ObjectTable {
  public:
@@ -84,27 +97,79 @@ class ObjectTable {
   // allocate or free slots between calls and still sees the table as it is:
   //   for (i = NextAllocated(0, end); i < end; i = NextAllocated(i + 1, end)) ...
   // visits exactly the slots a plain index loop would find allocated when it reached them.
+  // The GC-color iterators below keep the same contract.
   ObjectIndex NextAllocated(ObjectIndex from, ObjectIndex end) const {
-    return NextSet(live_, from, end);
+    return NextWhere(from, end, [](const BitmapWord& word) { return word.live; });
   }
   ObjectIndex NextExempt(ObjectIndex from, ObjectIndex end) const {
-    return NextSet(exempt_, from, end);
+    return NextWhere(from, end, [](const BitmapWord& word) { return word.exempt; });
+  }
+  // Gray slots; gray or black slots; and the slots a sweep may reclaim: allocated, white
+  // and not GC-exempt.
+  ObjectIndex NextGray(ObjectIndex from, ObjectIndex end) const {
+    return NextWhere(from, end, [](const BitmapWord& word) { return word.gray; });
+  }
+  ObjectIndex NextNonWhite(ObjectIndex from, ObjectIndex end) const {
+    return NextWhere(from, end,
+                     [](const BitmapWord& word) { return word.gray | word.black; });
+  }
+  ObjectIndex NextSweepCandidate(ObjectIndex from, ObjectIndex end) const {
+    return NextWhere(from, end,
+                     [](const BitmapWord& word) { return White(word) & ~word.exempt; });
   }
 
   // GC exemption of a demoted object (lifetime analysis): the collector never whitens,
   // marks or sweeps it, and scans its access slots as roots. The kernel sets it right after
-  // allocating from a demote SRO, together with color kBlack; the rule "exempt implies
-  // black" holds from then on (the collector's whiten phase re-blackens exempt objects).
-  // Allocate and Free clear the bit, so a reused slot never inherits it. The slot must be
-  // allocated.
+  // allocating from a demote SRO. The slot turns black with it, and "exempt implies black"
+  // holds from then on (the collector's whiten phase re-blackens exempt objects). Allocate
+  // and Free clear the bit, so a reused slot never inherits it. The slot must be allocated.
   void SetGcExempt(ObjectIndex index) {
     IMAX_CHECK(index < capacity() && slots_[index].allocated);
-    SetBit(exempt_, index);
+    WordOf(index).exempt |= Bit(index);
+    Blacken(index);
   }
   bool gc_exempt(ObjectIndex index) const {
     IMAX_CHECK(index < capacity());
-    return (exempt_[index >> 6] >> (index & 63)) & 1;
+    return (WordOf(index).exempt & Bit(index)) != 0;
   }
+
+  // --- GC color (src/gc/collector.h) ---
+  // Only allocated slots are gray or black; a free slot reads white, and Allocate and Free
+  // leave a slot white. Colors change only through these calls.
+  GcColor color(ObjectIndex index) const {
+    IMAX_CHECK(index < capacity());
+    const BitmapWord& word = WordOf(index);
+    if (word.gray & Bit(index)) {
+      return GcColor::kGray;
+    }
+    return (word.black & Bit(index)) ? GcColor::kBlack : GcColor::kWhite;
+  }
+  // The gray bit: an allocated white slot turns gray, and the call returns true. Any other
+  // slot, free ones included, is left as it is.
+  bool Shade(ObjectIndex index) {
+    IMAX_CHECK(index < capacity());
+    BitmapWord& word = WordOf(index);
+    if ((White(word) & Bit(index)) == 0) {
+      return false;
+    }
+    word.gray |= Bit(index);
+    return true;
+  }
+  // An allocated slot of any color turns black: its access part has been scanned.
+  void Blacken(ObjectIndex index) {
+    IMAX_CHECK(index < capacity());
+    BitmapWord& word = WordOf(index);
+    IMAX_DCHECK(word.live & Bit(index));
+    word.gray &= ~Bit(index);
+    word.black |= Bit(index);
+  }
+  // The collector's whiten phase over [from, end), a bitmap word at a time: every allocated
+  // slot turns white except the GC-exempt ones, which turn black. Returns how many exempt
+  // slots it held black.
+  uint32_t Whiten(ObjectIndex from, ObjectIndex end);
+  // True when some allocated white slot is the origin SRO of an allocated object. Only then
+  // can the collector's origin-liveness rule shade anything.
+  bool AnyWhiteOrigin() const;
 
   uint32_t capacity() const { return static_cast<uint32_t>(slots_.size()); }
   uint32_t live_count() const { return live_count_; }
@@ -119,7 +184,7 @@ class ObjectTable {
   }
 
   // Checksum over the descriptor's identity fields (type, level, data_length, access slot
-  // count, origin SRO). Mutable operational state (data_base, swap state, GC color,
+  // count, origin SRO). Mutable operational state (data_base, swap state, origin count,
   // generation) is deliberately excluded so the patrol scan never flags normal operation.
   static uint32_t DescriptorChecksum(const ObjectDescriptor& descriptor);
 
@@ -129,38 +194,44 @@ class ObjectTable {
   void Seal(ObjectIndex index);
 
  private:
-  ObjectIndex NextSet(const std::vector<uint64_t>& bits, ObjectIndex from,
-                      ObjectIndex end) const {
+  // Word w of each bitmap: bits for slots [64w, 64w + 64). Bits past capacity stay clear.
+  struct BitmapWord {
+    uint64_t live = 0;    // == allocated, written only by Allocate and Free
+    uint64_t exempt = 0;  // GC-exempt; cleared by Allocate and Free
+    uint64_t gray = 0;    // GC color, on allocated slots only: never both gray and
+    uint64_t black = 0;   // black; Allocate and Free clear both
+    uint64_t origin = 0;  // origin_count > 0
+  };
+
+  static uint64_t White(const BitmapWord& word) { return word.live & ~(word.gray | word.black); }
+  static uint64_t Bit(ObjectIndex index) { return uint64_t{1} << (index & 63); }
+  BitmapWord& WordOf(ObjectIndex index) { return words_[index >> 6]; }
+  const BitmapWord& WordOf(ObjectIndex index) const { return words_[index >> 6]; }
+
+  // The lowest slot in [from, end) whose bit is set in bits(word), or `end`.
+  template <typename WordBits>
+  ObjectIndex NextWhere(ObjectIndex from, ObjectIndex end, WordBits bits) const {
     IMAX_DCHECK(end <= capacity());
     if (from >= end) {
       return end;
     }
     size_t word = from >> 6;
-    uint64_t pending = bits[word] & (~uint64_t{0} << (from & 63));
+    uint64_t pending = bits(words_[word]) & (~uint64_t{0} << (from & 63));
     const size_t last = (end - 1) >> 6;
     while (pending == 0) {
       if (++word > last) {
         return end;
       }
-      pending = bits[word];
+      pending = bits(words_[word]);
     }
     ObjectIndex found = static_cast<ObjectIndex>(word * 64 + std::countr_zero(pending));
     return found < end ? found : end;
   }
 
-  static void SetBit(std::vector<uint64_t>& bits, ObjectIndex index) {
-    bits[index >> 6] |= uint64_t{1} << (index & 63);
-  }
-  static void ClearBit(std::vector<uint64_t>& bits, ObjectIndex index) {
-    bits[index >> 6] &= ~(uint64_t{1} << (index & 63));
-  }
-
   std::vector<ObjectDescriptor> slots_;
   std::vector<ObjectIndex> free_list_;
   uint32_t live_count_ = 0;
-  // One bit per slot, (capacity + 63) / 64 words each; bits past capacity stay clear.
-  std::vector<uint64_t> live_;    // == allocated, written only by Allocate and Free
-  std::vector<uint64_t> exempt_;  // GC-exempt; cleared by Allocate and Free
+  std::vector<BitmapWord> words_;  // (capacity + 63) / 64 words
 };
 
 }  // namespace imax432

@@ -1008,11 +1008,10 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
           if (local.ok()) {
             const AccessDescriptor object = local.value();
             // Skip GC registration: exempt objects are permanently black (never whitened,
-            // never swept); their outgoing slots are scanned as roots. Reclamation happens
-            // only through the bulk destroy at context exit (see gc/collector.h).
-            ObjectTable& table = machine_->table();
-            table.SetGcExempt(object.index());
-            table.At(object.index()).color = GcColor::kBlack;  // exempt implies black, from birth
+            // never swept), from birth; their outgoing slots are scanned as roots.
+            // Reclamation happens only through the bulk destroy at context exit (see
+            // gc/collector.h).
+            machine_->table().SetGcExempt(object.index());
             if (lifetime_auditor_ != nullptr) {
               lifetime_auditor_->OnDemoted(object.index(), object.generation(),
                                            demote_sro.index(), segment, site_pc);
@@ -1040,6 +1039,9 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
 
     case Opcode::kDestroyObject: {
       if (!ValidAdReg(in.a)) return Fault::kRegisterOutOfRange;
+      // Destroying the context this instruction runs in would free the register file it
+      // writes below. (Contexts are the only system objects minted with delete rights.)
+      if (ctx.ad_reg(in.a).SameObject(ctx.ad())) return Fault::kInvalidAccess;
       const ObjectIndex dying = ctx.ad_reg(in.a).index();
       IMAX_RETURN_IF_FAULT(memory_->DestroyObject(ctx.ad_reg(in.a)));
       // Destruction conflicts with any concurrent access to either part; check against the

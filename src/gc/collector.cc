@@ -12,12 +12,12 @@ void GarbageCollector::SetSystemTypeFilter(SystemType type,
   system_filters_[static_cast<int>(type)] = filter_port;
 }
 
-void GarbageCollector::Shade(ObjectIndex index) {
-  ObjectDescriptor& descriptor = kernel_->machine().table().At(index);
-  if (descriptor.allocated && descriptor.color == GcColor::kWhite) {
-    descriptor.color = GcColor::kGray;
-    gray_.push_back(index);
+bool GarbageCollector::Shade(ObjectIndex index) {
+  if (!kernel_->machine().table().Shade(index)) {
+    return false;
   }
+  gray_.push_back(index);
+  return true;
 }
 
 void GarbageCollector::ShadeRoots() {
@@ -62,40 +62,37 @@ void GarbageCollector::BeginCycle() {
 
 bool GarbageCollector::MarkFixpoint() {
   ObjectTable& table = kernel_->machine().table();
-  bool changed = false;
+  IMAX_DCHECK(gray_.empty());
 
+  // Dijkstra's termination scan: the mutator's gray bit marks objects gray *in place* (the
+  // hardware cannot push onto the collector's worklist), so the collector must rescan for
+  // gray objects until a full pass finds none. This is the "minimal synchronization"
+  // between mutators and the collector. The scan walks the non-white slots in ascending
+  // order, pushing gray ones and applying the origin-SRO rule to black ones; when no
+  // allocated white slot is anyone's origin SRO, that rule cannot fire, and the walk
+  // reduces to the gray bitmap: the same pushes, in the same order.
   const ObjectIndex end = table.capacity();
-  for (ObjectIndex i = table.NextAllocated(0, end); i < end;
-       i = table.NextAllocated(i + 1, end)) {
-    const ObjectDescriptor& descriptor = table.At(i);
-    // Dijkstra's termination scan: the mutator's gray bit marks objects gray *in place*
-    // (the hardware cannot push onto the collector's worklist), so the collector must
-    // rescan for gray descriptors until a full pass finds none. This is the "minimal
-    // synchronization" between mutators and the collector.
-    if (descriptor.color == GcColor::kGray) {
+  const bool origins_may_fire = table.AnyWhiteOrigin();
+  auto next = [&](ObjectIndex from) {
+    return origins_may_fire ? table.NextNonWhite(from, end) : table.NextGray(from, end);
+  };
+  for (ObjectIndex i = next(0); i < end; i = next(i + 1)) {
+    if (table.color(i) == GcColor::kGray) {
       gray_.push_back(i);
-      changed = true;
-      continue;
-    }
-    if (descriptor.color == GcColor::kWhite) {
       continue;
     }
     // Origin-SRO liveness: a live (black) object keeps its allocating SRO (and transitively
     // that SRO's allocator) live, otherwise reclaiming the SRO would destroy live objects.
-    ObjectIndex origin = descriptor.origin_sro;
-    if (origin != kInvalidObjectIndex && table.At(origin).allocated &&
-        table.At(origin).color == GcColor::kWhite) {
-      Shade(origin);
+    // A shaded origin above i is pushed again when the walk reaches it, still gray.
+    ObjectIndex origin = table.At(i).origin_sro;
+    if (origin != kInvalidObjectIndex && Shade(origin)) {
       ++stats_.sros_kept_live;
-      changed = true;
     }
   }
 
   // Fresh root snapshot: processes may have moved into shadow queues since the last one.
-  size_t before = gray_.size();
   ShadeRoots();
-  changed |= gray_.size() > before;
-  return changed;
+  return !gray_.empty();
 }
 
 bool GarbageCollector::Step(uint32_t units) {
@@ -108,21 +105,13 @@ bool GarbageCollector::Step(uint32_t units) {
 
       case Phase::kWhiten: {
         // Flip every descriptor to white; the mutator's gray bit re-shades anything moved
-        // from here on, so no live object can stay white through a full mark. The batch is
-        // charged for every slot it covers, though only the allocated ones need a visit.
+        // from here on, so no live object can stay white through a full mark. Demoted
+        // objects never enter the cycle: permanently black, reclaimed only by their demote
+        // SRO's bulk destroy at context exit. The batch is charged for every slot it
+        // covers, though the table whitens it a bitmap word at a time.
         uint32_t batch = std::min(units, table.capacity() - cursor_);
         const ObjectIndex end = cursor_ + batch;
-        for (ObjectIndex i = table.NextAllocated(cursor_, end); i < end;
-             i = table.NextAllocated(i + 1, end)) {
-          if (table.gc_exempt(i)) {
-            // Demoted objects never enter the cycle: permanently black, reclaimed only by
-            // their demote SRO's bulk destroy at context exit.
-            table.At(i).color = GcColor::kBlack;
-            ++stats_.exempt_objects_skipped;
-          } else {
-            table.At(i).color = GcColor::kWhite;
-          }
-        }
+        stats_.exempt_objects_skipped += table.Whiten(cursor_, end);
         cursor_ = end;
         units -= batch;
         work_units_ += batch;
@@ -157,7 +146,7 @@ bool GarbageCollector::Step(uint32_t units) {
           }
           ++stats_.slots_scanned;
         }
-        descriptor.color = GcColor::kBlack;
+        table.Blacken(index);
         ++stats_.objects_scanned;
         uint32_t cost = 1 + descriptor.access_count();
         work_units_ += cost;
@@ -166,12 +155,14 @@ bool GarbageCollector::Step(uint32_t units) {
       }
 
       case Phase::kSweep: {
-        // Charged for every slot like whiten. SweepOne may free later slots of the batch (a
-        // garbage SRO's cascade); NextAllocated re-reads the bitmap, so they are skipped.
+        // Charged for every slot like whiten, but only the slots SweepOne would act on are
+        // visited: allocated, white and not exempt. SweepOne may free later slots of the
+        // batch (a garbage SRO's cascade); NextSweepCandidate re-reads the bitmaps, so they
+        // are skipped.
         uint32_t batch = std::min(units, table.capacity() - cursor_);
         const ObjectIndex end = cursor_ + batch;
-        for (ObjectIndex i = table.NextAllocated(cursor_, end); i < end;
-             i = table.NextAllocated(i + 1, end)) {
+        for (ObjectIndex i = table.NextSweepCandidate(cursor_, end); i < end;
+             i = table.NextSweepCandidate(i + 1, end)) {
           SweepOne(i);
         }
         cursor_ = end;
@@ -215,7 +206,7 @@ void GarbageCollector::SweepOne(ObjectIndex index) {
   ObjectTable& table = kernel_->machine().table();
   ObjectDescriptor& descriptor = table.At(index);
   if (!descriptor.allocated || table.gc_exempt(index) ||
-      descriptor.color != GcColor::kWhite) {
+      table.color(index) != GcColor::kWhite) {
     return;
   }
 
@@ -226,7 +217,7 @@ void GarbageCollector::SweepOne(ObjectIndex index) {
     auto manufactured = table.MintAd(index, rights::kAll);
     IMAX_CHECK(manufactured.ok());
     descriptor.finalized = true;
-    descriptor.color = GcColor::kGray;  // reachable again, via the filter port
+    table.Shade(index);  // reachable again, via the filter port
     Status sent = kernel_->PostMessage(filter_port, manufactured.value());
     if (sent.ok()) {
       ++stats_.objects_finalized;
@@ -304,11 +295,11 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
   std::vector<ObjectIndex> members;
   for (ObjectIndex i = table.NextAllocated(0, end); i < end;
        i = table.NextAllocated(i + 1, end)) {
-    ObjectDescriptor& descriptor = table.At(i);
+    const ObjectDescriptor& descriptor = table.At(i);
     if (descriptor.origin_sro == sro_index && !table.gc_exempt(i) &&
         descriptor.type != SystemType::kStorageResource) {
       population[i] = true;
-      descriptor.color = GcColor::kWhite;
+      table.Whiten(i, i + 1);
       members.push_back(i);
     }
   }
@@ -354,7 +345,7 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
       shade_if_member(slot);
       ++stats_.slots_scanned;
     }
-    descriptor.color = GcColor::kBlack;
+    table.Blacken(index);
     ++stats_.objects_scanned;
     work_units_ += 1 + descriptor.access_count();
   }

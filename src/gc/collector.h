@@ -14,9 +14,11 @@
 //
 // Cost model versus host work: virtual time charges the global scans one work unit per
 // table slot (whiten, sweep, and local collection's population pass), allocated or not. The
-// host visits only the slots that matter, walking the table's live and GC-exempt bitmaps
-// (ObjectTable::NextAllocated / NextExempt) in ascending order, so it does the same work in
-// the same order as a loop over every slot would, without touching the free descriptors.
+// host finds the slots that matter from the table's bitmaps (live, GC-exempt, gray, black,
+// origin; see object_table.h) in ascending order, so it does the same work in the same
+// order as a loop over every descriptor would: whiten rewrites the color bitmaps a word at a
+// time, sweep visits only white slots, and the mark's termination rescan visits only gray
+// slots unless some white slot is an origin SRO, when it walks the non-white ones.
 //
 // Two extensions beyond plain Dijkstra, both from the paper:
 //   - SRO liveness: a storage resource object is live while any object allocated from it is
@@ -118,7 +120,9 @@ class GarbageCollector {
   enum class Phase : uint8_t { kIdle, kWhiten, kMark, kSweep };
 
   void ShadeRoots();
-  void Shade(ObjectIndex index);
+  // Shades an allocated white object gray and pushes it on the mark worklist; returns
+  // whether it did.
+  bool Shade(ObjectIndex index);
   // Records a phase transition on the machine's event trace.
   void EmitPhase();
   // Runs the end-of-mark fixpoint checks (origin SROs, fresh roots). Returns true if new

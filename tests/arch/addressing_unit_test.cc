@@ -118,10 +118,10 @@ TEST_F(AddressingUnitTest, AdStoreShadesReferencedObjectGray) {
   // descriptors are moved."
   AccessDescriptor container = MakeObject(1, 0, 1, rights::kRead | rights::kWrite);
   AccessDescriptor payload = MakeObject(0, 8, 0, rights::kRead);
-  ASSERT_EQ(table_.At(payload.index()).color, GcColor::kWhite);
+  ASSERT_EQ(table_.color(payload.index()), GcColor::kWhite);
   uint64_t shades_before = unit_.shade_count();
   ASSERT_TRUE(unit_.WriteAd(container, 0, payload).ok());
-  EXPECT_EQ(table_.At(payload.index()).color, GcColor::kGray);
+  EXPECT_EQ(table_.color(payload.index()), GcColor::kGray);
   EXPECT_EQ(unit_.shade_count(), shades_before + 1);
 
   // A second store of the same AD does not re-shade (already gray).
@@ -132,9 +132,9 @@ TEST_F(AddressingUnitTest, AdStoreShadesReferencedObjectGray) {
 TEST_F(AddressingUnitTest, BlackObjectNotReshaded) {
   AccessDescriptor container = MakeObject(1, 0, 1, rights::kRead | rights::kWrite);
   AccessDescriptor payload = MakeObject(0, 8, 0, rights::kRead);
-  table_.At(payload.index()).color = GcColor::kBlack;
+  table_.Blacken(payload.index());
   ASSERT_TRUE(unit_.WriteAd(container, 0, payload).ok());
-  EXPECT_EQ(table_.At(payload.index()).color, GcColor::kBlack);
+  EXPECT_EQ(table_.color(payload.index()), GcColor::kBlack);
 }
 
 TEST_F(AddressingUnitTest, WriteAdRequiresWriteRight) {

@@ -25,7 +25,7 @@ TEST(ObjectTableTest, AllocateInitializesDescriptor) {
   EXPECT_EQ(d.access_count(), 4u);
   EXPECT_EQ(d.origin_sro, 7u);
   EXPECT_EQ(d.storage_claim, 48u);
-  EXPECT_EQ(d.color, GcColor::kWhite);
+  EXPECT_EQ(table.color(index.value()), GcColor::kWhite);
   for (const AccessDescriptor& slot : d.access) {
     EXPECT_TRUE(slot.is_null());
   }
@@ -144,17 +144,23 @@ TEST(ObjectTableTest, CountsTrackAllocations) {
   EXPECT_EQ(table.live_count(), 4u);
 }
 
-// The slots a NextAllocated (or NextExempt) walk over [from, end) visits.
-std::vector<ObjectIndex> Walk(const ObjectTable& table, ObjectIndex from, ObjectIndex end,
-                              bool exempt) {
-  auto next = [&](ObjectIndex i) {
-    return exempt ? table.NextExempt(i, end) : table.NextAllocated(i, end);
-  };
+// The slots a walk over [from, end) visits, where next(i) is the iterator's answer for
+// [i, end).
+template <typename Next>
+std::vector<ObjectIndex> WalkWith(ObjectIndex from, ObjectIndex end, Next next) {
   std::vector<ObjectIndex> visited;
   for (ObjectIndex i = next(from); i < end; i = next(i + 1)) {
     visited.push_back(i);
   }
   return visited;
+}
+
+// The slots a NextAllocated (or NextExempt) walk over [from, end) visits.
+std::vector<ObjectIndex> Walk(const ObjectTable& table, ObjectIndex from, ObjectIndex end,
+                              bool exempt) {
+  return WalkWith(from, end, [&](ObjectIndex i) {
+    return exempt ? table.NextExempt(i, end) : table.NextAllocated(i, end);
+  });
 }
 
 TEST(ObjectTableTest, BitmapIteratorsHandleWordEdges) {
@@ -243,6 +249,174 @@ TEST(ObjectTableTest, BitmapIteratorsMatchTheDescriptorsUnderRandomChurn) {
     ObjectIndex expected = (first != allocated.end() && *first < end) ? *first : end;
     ASSERT_EQ(table.NextAllocated(from, end), expected)
         << "[" << from << ", " << end << ") at step " << step;
+  }
+}
+
+// The slots each GC-color iterator visits over the whole table.
+std::vector<ObjectIndex> Gray(const ObjectTable& table) {
+  const ObjectIndex end = table.capacity();
+  return WalkWith(0, end, [&](ObjectIndex i) { return table.NextGray(i, end); });
+}
+std::vector<ObjectIndex> NonWhite(const ObjectTable& table) {
+  const ObjectIndex end = table.capacity();
+  return WalkWith(0, end, [&](ObjectIndex i) { return table.NextNonWhite(i, end); });
+}
+std::vector<ObjectIndex> SweepCandidates(const ObjectTable& table) {
+  const ObjectIndex end = table.capacity();
+  return WalkWith(0, end, [&](ObjectIndex i) { return table.NextSweepCandidate(i, end); });
+}
+
+TEST(ObjectTableTest, ColorBitmapsHandleWordEdges) {
+  // 130 slots: three bitmap words, the last one holding only slots 128 and 129. Slot 128 is
+  // allocated from slot 64, so 64 is an origin.
+  ObjectTable table(130);
+  for (ObjectIndex i = 0; i < 130; ++i) {
+    auto index = table.Allocate(SystemType::kGeneric, 0, 0, 0, 0,
+                                i == 128 ? 64 : kInvalidObjectIndex, 0);
+    ASSERT_TRUE(index.ok());
+    ASSERT_EQ(index.value(), i);
+  }
+  EXPECT_EQ(table.At(64).origin_count, 1u);
+  EXPECT_TRUE(table.AnyWhiteOrigin());
+  EXPECT_TRUE(Gray(table).empty());
+  EXPECT_TRUE(NonWhite(table).empty());
+  EXPECT_EQ(SweepCandidates(table).size(), 130u);
+
+  for (ObjectIndex i : {63u, 64u, 127u, 128u, 129u}) {
+    EXPECT_TRUE(table.Shade(i)) << "slot " << i;
+  }
+  EXPECT_FALSE(table.Shade(64));  // already gray
+  EXPECT_FALSE(table.AnyWhiteOrigin());
+  EXPECT_EQ(Gray(table), (std::vector<ObjectIndex>{63, 64, 127, 128, 129}));
+  table.Blacken(0);
+  table.Blacken(64);
+  EXPECT_FALSE(table.Shade(64));  // black stays black
+  EXPECT_EQ(table.color(64), GcColor::kBlack);
+  EXPECT_EQ(Gray(table), (std::vector<ObjectIndex>{63, 127, 128, 129}));
+  EXPECT_EQ(NonWhite(table), (std::vector<ObjectIndex>{0, 63, 64, 127, 128, 129}));
+  EXPECT_EQ(table.NextGray(64, 127), 127u);
+  EXPECT_EQ(table.NextGray(64, 100), 100u);
+  EXPECT_EQ(table.NextSweepCandidate(63, 130), 65u);
+  EXPECT_EQ(table.NextSweepCandidate(127, 130), 130u);
+
+  // An exempt slot turns black and is never a sweep candidate, whatever whiten does.
+  table.SetGcExempt(65);
+  EXPECT_EQ(table.color(65), GcColor::kBlack);
+  EXPECT_EQ(table.NextSweepCandidate(63, 130), 66u);
+
+  // A whiten range that ends mid-word, in the word after the one it starts in.
+  EXPECT_EQ(table.Whiten(60, 66), 1u);  // holds 65 black
+  EXPECT_EQ(table.color(63), GcColor::kWhite);
+  EXPECT_EQ(table.color(64), GcColor::kWhite);
+  EXPECT_EQ(table.color(65), GcColor::kBlack);
+  EXPECT_EQ(table.color(0), GcColor::kBlack);   // outside the range
+  EXPECT_EQ(table.color(127), GcColor::kGray);  // outside the range
+  EXPECT_TRUE(table.AnyWhiteOrigin());          // 64 is white again
+  EXPECT_EQ(Gray(table), (std::vector<ObjectIndex>{127, 128, 129}));
+  // One that ends at capacity, inside the last word, and empty and one-slot ranges.
+  EXPECT_EQ(table.Whiten(127, 130), 0u);
+  EXPECT_TRUE(Gray(table).empty());
+  EXPECT_EQ(table.Whiten(7, 7), 0u);
+  EXPECT_EQ(table.Whiten(0, 1), 0u);
+  EXPECT_EQ(NonWhite(table), (std::vector<ObjectIndex>{65}));
+  EXPECT_EQ(table.Whiten(0, 130), 1u);
+  EXPECT_EQ(NonWhite(table), (std::vector<ObjectIndex>{65}));
+
+  // Freeing a gray slot leaves it white and out of every walk, and a free slot cannot be
+  // shaded. Freeing the only object allocated from 64 ends 64's time as an origin.
+  ASSERT_TRUE(table.Shade(129));
+  ASSERT_TRUE(table.Free(129).ok());
+  EXPECT_EQ(table.color(129), GcColor::kWhite);
+  EXPECT_FALSE(table.Shade(129));
+  EXPECT_TRUE(Gray(table).empty());
+  EXPECT_EQ(table.NextSweepCandidate(128, 130), 128u);
+  EXPECT_EQ(table.NextSweepCandidate(129, 130), 130u);
+  ASSERT_TRUE(table.Free(128).ok());
+  EXPECT_EQ(table.At(64).origin_count, 0u);
+  EXPECT_FALSE(table.AnyWhiteOrigin());
+}
+
+// A per-slot reference model of the table's color state, driven by random steps.
+TEST(ObjectTableTest, ColorStateMatchesAReferenceModelUnderRandomChurn) {
+  constexpr ObjectIndex kCapacity = 200;  // not a multiple of 64
+  struct Slot {
+    bool allocated = false;
+    bool exempt = false;
+    GcColor color = GcColor::kWhite;
+    ObjectIndex origin = kInvalidObjectIndex;
+  };
+  ObjectTable table(kCapacity);
+  std::vector<Slot> model(kCapacity);
+  std::vector<ObjectIndex> live;
+  Xorshift rng(20261017);
+  auto any_slot = [&] { return static_cast<ObjectIndex>(rng.NextBelow(kCapacity)); };
+  auto live_slot = [&] { return live[rng.NextBelow(live.size())]; };
+
+  for (int step = 0; step < 4000; ++step) {
+    const uint64_t op = rng.NextBelow(7);
+    if (live.empty() || (op <= 1 && live.size() < kCapacity)) {
+      // Allocate; half the objects name a random slot, free or not, as their origin.
+      ObjectIndex origin = rng.NextChance(1, 2) ? any_slot() : kInvalidObjectIndex;
+      auto index = table.Allocate(SystemType::kGeneric, 0, 0, 0, 0, origin, 0);
+      ASSERT_TRUE(index.ok());
+      live.push_back(index.value());
+      model[index.value()] = Slot{true, false, GcColor::kWhite, origin};
+    } else if (op == 2) {
+      size_t pick = rng.NextBelow(live.size());
+      ObjectIndex index = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      ASSERT_TRUE(table.Free(index).ok());
+      model[index] = Slot{};
+    } else if (op == 3) {
+      ObjectIndex index = any_slot();
+      Slot& slot = model[index];
+      const bool shades = slot.allocated && slot.color == GcColor::kWhite;
+      ASSERT_EQ(table.Shade(index), shades) << "slot " << index << " at step " << step;
+      if (shades) slot.color = GcColor::kGray;
+    } else if (op == 4) {
+      ObjectIndex index = live_slot();
+      table.Blacken(index);
+      model[index].color = GcColor::kBlack;
+    } else if (op == 5) {
+      ObjectIndex from = static_cast<ObjectIndex>(rng.NextBelow(kCapacity + 1));
+      ObjectIndex end = static_cast<ObjectIndex>(rng.NextInRange(from, kCapacity));
+      uint32_t held = 0;
+      for (ObjectIndex i = from; i < end; ++i) {
+        if (!model[i].allocated) continue;
+        model[i].color = model[i].exempt ? GcColor::kBlack : GcColor::kWhite;
+        held += model[i].exempt ? 1 : 0;
+      }
+      ASSERT_EQ(table.Whiten(from, end), held) << "[" << from << ", " << end << ")";
+    } else {
+      ObjectIndex index = live_slot();
+      table.SetGcExempt(index);
+      model[index].exempt = true;
+      model[index].color = GcColor::kBlack;
+    }
+
+    std::vector<uint32_t> origin_count(kCapacity, 0);
+    for (const Slot& slot : model) {
+      if (slot.allocated && slot.origin != kInvalidObjectIndex) ++origin_count[slot.origin];
+    }
+    std::vector<ObjectIndex> gray, non_white, candidates;
+    bool white_origin = false;
+    for (ObjectIndex i = 0; i < kCapacity; ++i) {
+      const Slot& slot = model[i];
+      ASSERT_EQ(table.color(i), slot.color) << "slot " << i << " at step " << step;
+      ASSERT_EQ(table.gc_exempt(i), slot.exempt) << "slot " << i << " at step " << step;
+      ASSERT_EQ(table.At(i).origin_count, origin_count[i])
+          << "slot " << i << " at step " << step;
+      if (slot.color == GcColor::kGray) gray.push_back(i);
+      if (slot.color != GcColor::kWhite) non_white.push_back(i);
+      const bool white = slot.allocated && slot.color == GcColor::kWhite;
+      if (white && !slot.exempt) candidates.push_back(i);
+      white_origin |= white && origin_count[i] > 0;
+    }
+    ASSERT_EQ(Gray(table), gray) << "step " << step;
+    ASSERT_EQ(NonWhite(table), non_white) << "step " << step;
+    ASSERT_EQ(SweepCandidates(table), candidates) << "step " << step;
+    ASSERT_EQ(table.AnyWhiteOrigin(), white_origin) << "step " << step;
   }
 }
 

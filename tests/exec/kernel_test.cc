@@ -1282,6 +1282,31 @@ TEST_F(KernelTest, TerminatingWithANonContextCallerStops) {
   EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
 }
 
+// The process loads its current context's AD from its process object and destroys it. The
+// instruction faults with kInvalidAccess and destroys nothing: the context holds the
+// register file the instruction would write next.
+TEST_F(KernelTest, DestroyingTheRunningContextFaults) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto fault_port =
+      kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(fault_port.ok());
+  ProcessOptions options;
+  options.fault_port = fault_port.value();
+  AccessDescriptor process = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_,
+      [](Assembler& a) {
+        a.LoadAd(4, 2, ProcessLayout::kSlotContext).DestroyObject(4).Halt();
+      },
+      options);
+  AccessDescriptor context = View(process).context();
+  kernel_.Run();
+  EXPECT_EQ(View(process).state(), ProcessState::kFaulted);
+  EXPECT_EQ(View(process).fault_code(), Fault::kInvalidAccess);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  EXPECT_TRUE(machine_.table().Resolve(context).ok());
+  EXPECT_TRUE(View(process).context().SameObject(context));
+}
+
 TEST(KernelPinningTest, PatrolSweepsDuringATwoGdpLoopFindNothing) {
   SystemConfig config;
   config.processors = 2;

@@ -81,7 +81,7 @@ TEST_F(LifetimeDemotionTest, DemotableAllocationIsExemptAndBulkReclaimed) {
   ObjectIndex demoted = FindDemoted();
   ASSERT_NE(demoted, kInvalidObjectIndex);
   const ObjectDescriptor& descriptor = machine_.table().At(demoted);
-  EXPECT_EQ(descriptor.color, GcColor::kBlack);
+  EXPECT_EQ(machine_.table().color(demoted), GcColor::kBlack);
   // It came from the demote SRO, not the program's SRO (the global heap).
   EXPECT_NE(descriptor.origin_sro, memory_.global_heap().index());
 

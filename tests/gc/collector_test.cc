@@ -478,5 +478,87 @@ TEST(CollectorChargeTest, ScansChargeEveryTableSlot) {
   EXPECT_EQ(small_local.value().objects_reclaimed, large_local.value().objects_reclaimed);
 }
 
+// A graph on which the mark's termination rescan has origin SROs to shade. A rooted member
+// of local SRO `sro` sits below it in the table, so the rescan shades `sro` after passing
+// the member and pushes it a second time on reaching it, still gray. A garbage local SRO
+// with one garbage member stays white, an origin, through the whole mark. `spare` is white
+// global garbage for a mutator store to rescue mid-mark.
+struct RescanRig {
+  RescanRig()
+      : machine(ChargeRig::Config(8192)), memory(&machine), kernel(&machine, &memory),
+        gc(&kernel) {
+    root = New(memory.global_heap());
+    AccessDescriptor placeholder = New(memory.global_heap());
+    auto local = memory.CreateLocalSro(memory.global_heap(), 16 * 1024, 1);
+    EXPECT_TRUE(local.ok());
+    sro = local.value();
+    EXPECT_TRUE(memory.DestroyObject(placeholder).ok());
+    member = New(sro);  // takes the placeholder's slot, below the SRO
+    auto dead = memory.CreateLocalSro(memory.global_heap(), 16 * 1024, 1);
+    EXPECT_TRUE(dead.ok());
+    garbage_sro = dead.value();
+    (void)New(garbage_sro);
+    spare = New(memory.global_heap());
+    kernel.AddRootProvider([this](std::vector<AccessDescriptor>* roots) {
+      roots->push_back(root);
+      roots->push_back(member);
+    });
+  }
+
+  AccessDescriptor New(const AccessDescriptor& heap) {
+    auto ad = memory.CreateObject(heap, SystemType::kGeneric, 32, 2, rights::kAll);
+    EXPECT_TRUE(ad.ok());
+    return ad.value();
+  }
+  bool Alive(const AccessDescriptor& ad) { return machine.table().Resolve(ad).ok(); }
+
+  Machine machine;
+  BasicMemoryManager memory;
+  Kernel kernel;
+  GarbageCollector gc;
+  AccessDescriptor root, sro, member, garbage_sro, spare;
+};
+
+// The rescan's shortcut (only gray slots, when no white slot is an origin) must leave the
+// collector's work exactly as a walk over every live descriptor did it: the counts below
+// were measured with that walk.
+TEST(CollectorChargeTest, TerminationRescanKeepsTheWalksPushOrder) {
+  RescanRig rig;
+  ASSERT_LT(rig.member.index(), rig.sro.index());
+  GcStats stats = rig.gc.CollectNow();
+  EXPECT_TRUE(rig.Alive(rig.member));
+  EXPECT_TRUE(rig.Alive(rig.sro));
+  EXPECT_FALSE(rig.Alive(rig.garbage_sro));
+  EXPECT_FALSE(rig.Alive(rig.spare));
+  EXPECT_EQ(stats.objects_scanned, 6u);  // `sro` twice
+  EXPECT_EQ(stats.slots_scanned, 1031u);
+  EXPECT_EQ(stats.sros_kept_live, 1u);
+  EXPECT_EQ(stats.objects_reclaimed, 2u);
+  EXPECT_EQ(rig.gc.work_units(), 17421u);
+}
+
+TEST(CollectorChargeTest, TerminationRescanKeepsTheWalksPushOrderIncrementally) {
+  RescanRig rig;
+  rig.gc.BeginCycle();
+  // Whiten takes one unit per slot, so this stops at mark entry, roots shaded.
+  ASSERT_TRUE(rig.gc.Step(rig.machine.table().capacity()));
+  ASSERT_TRUE(rig.gc.Step(1));
+  // The mutator stores `spare` into the root mid-mark: the gray bit alone keeps it alive.
+  ASSERT_TRUE(rig.machine.addressing().WriteAd(rig.root, 1, rig.spare).ok());
+  while (rig.gc.Step(4)) {
+  }
+  EXPECT_TRUE(rig.Alive(rig.member));
+  EXPECT_TRUE(rig.Alive(rig.sro));
+  EXPECT_TRUE(rig.Alive(rig.spare));
+  EXPECT_FALSE(rig.Alive(rig.garbage_sro));
+  const GcStats& stats = rig.gc.stats();
+  EXPECT_EQ(stats.cycles_completed, 1u);
+  EXPECT_EQ(stats.objects_scanned, 7u);  // `sro` twice, and `spare`
+  EXPECT_EQ(stats.slots_scanned, 1033u);
+  EXPECT_EQ(stats.sros_kept_live, 1u);
+  EXPECT_EQ(stats.objects_reclaimed, 1u);
+  EXPECT_EQ(rig.gc.work_units(), 17424u);
+}
+
 }  // namespace
 }  // namespace imax432

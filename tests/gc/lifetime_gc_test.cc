@@ -32,12 +32,12 @@ class LifetimeGcTest : public ::testing::Test {
   }
 
   // Host-side stand-in for the kernel's demotion path: the object is allocated from `sro`
-  // and flipped to exempt + black, exactly as Kernel::Execute does at a demoted site.
+  // and flipped to exempt (SetGcExempt also blackens it), exactly as Kernel::Execute does at
+  // a demoted site.
   AccessDescriptor NewDemoted(const AccessDescriptor& sro, uint32_t access_slots = 2) {
     auto ad = memory_.CreateObject(sro, SystemType::kGeneric, 32, access_slots, rights::kAll);
     EXPECT_TRUE(ad.ok());
     machine_.table().SetGcExempt(ad.value().index());
-    machine_.table().At(ad.value().index()).color = GcColor::kBlack;
     return ad.value();
   }
 
@@ -64,7 +64,7 @@ TEST_F(LifetimeGcTest, ExemptObjectSurvivesACycleWithNoReferences) {
   EXPECT_FALSE(Alive(garbage));  // the cycle did real work
   EXPECT_GE(stats.exempt_objects_skipped, 1u);
   // Permanently black: the whiten phase held the color.
-  EXPECT_EQ(machine_.table().At(demoted.index()).color, GcColor::kBlack);
+  EXPECT_EQ(machine_.table().color(demoted.index()), GcColor::kBlack);
   EXPECT_TRUE(machine_.table().gc_exempt(demoted.index()));
 }
 
@@ -100,7 +100,7 @@ TEST_F(LifetimeGcTest, GrayBitComposesWithExemptObjectsMidMark) {
   ASSERT_TRUE(machine_.addressing().WriteAdPrivileged(holder, 0, demoted).ok());
   AccessDescriptor late = NewObject();
   ASSERT_TRUE(machine_.addressing().WriteAdPrivileged(demoted, 1, late).ok());
-  EXPECT_EQ(machine_.table().At(demoted.index()).color, GcColor::kBlack);
+  EXPECT_EQ(machine_.table().color(demoted.index()), GcColor::kBlack);
 
   while (gc_.Step(1u << 16)) {
   }
