@@ -1,80 +1,8 @@
 #include "src/arch/addressing_unit.h"
 
-#include <cstring>
-
 #include "src/base/check.h"
 
 namespace imax432 {
-
-namespace {
-
-// Width-dispatched little-endian scalar access for the fused fast path: each case compiles
-// to a single fixed-size move instead of a variable-length memcpy call.
-inline uint64_t LoadScalar(const uint8_t* p, uint32_t width) {
-  switch (width) {
-    case 1:
-      return *p;
-    case 2: {
-      uint16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    case 4: {
-      uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    default: {
-      uint64_t v;
-      std::memcpy(&v, p, 8);
-      return v;
-    }
-  }
-}
-
-inline void StoreScalar(uint8_t* p, uint32_t width, uint64_t value) {
-  switch (width) {
-    case 1:
-      *p = static_cast<uint8_t>(value);
-      return;
-    case 2: {
-      uint16_t v = static_cast<uint16_t>(value);
-      std::memcpy(p, &v, 2);
-      return;
-    }
-    case 4: {
-      uint32_t v = static_cast<uint32_t>(value);
-      std::memcpy(p, &v, 4);
-      return;
-    }
-    default:
-      std::memcpy(p, &value, 8);
-      return;
-  }
-}
-
-// A fused-fast-path probe: a translation hit plus every per-access check CheckDataAccess
-// performs, evaluated on the already-probed entry in one branch chain. Returns nullptr on
-// any miss or check failure, sending the caller to the layered slow path — which owns fault
-// selection, so fault semantics are those of the authoritative Resolve.
-inline ObjectDescriptor* ProbeFastDataHit(XlatCache& xlat, const PhysicalMemory& memory,
-                                          const AccessDescriptor& ad, uint32_t offset,
-                                          uint32_t width, RightsMask required) {
-  XlatEntry& entry = xlat.Probe(ad.index());
-  ObjectDescriptor* descriptor = entry.descriptor;
-  if (descriptor == nullptr || entry.index != ad.index() ||
-      entry.generation != ad.generation() || !descriptor->allocated ||
-      descriptor->generation != ad.generation() || descriptor->quarantined ||
-      descriptor->swapped_out || !ad.HasRights(required) ||
-      static_cast<uint64_t>(offset) + width > descriptor->data_length ||
-      !memory.InRange(descriptor->data_base + offset, width) ||
-      (width != 1 && width != 2 && width != 4 && width != 8)) {
-    return nullptr;
-  }
-  return descriptor;
-}
-
-}  // namespace
 
 Result<ObjectDescriptor*> AddressingUnit::ResolveAndFill(const AccessDescriptor& ad) const {
   ++xlat_.stats().misses;
@@ -82,15 +10,7 @@ Result<ObjectDescriptor*> AddressingUnit::ResolveAndFill(const AccessDescriptor&
   if (!resolved.ok()) {
     return resolved;
   }
-  ObjectDescriptor* descriptor = resolved.value();
-  XlatEntry& entry = xlat_.Probe(ad.index());
-  if (entry.index != ad.index() || entry.generation != ad.generation()) {
-    // New identity in this slot: drop any payload carried for the evicted translation.
-    entry = XlatEntry{};
-    entry.index = ad.index();
-    entry.generation = ad.generation();
-  }
-  entry.descriptor = descriptor;
+  xlat_.Probe(ad.index()) = XlatEntry{ad.index(), ad.generation(), resolved.value()};
   return resolved;
 }
 
@@ -115,11 +35,6 @@ Result<PhysAddr> AddressingUnit::CheckDataAccess(const AccessDescriptor& ad, uin
 
 Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t offset,
                                           uint32_t width) const {
-  if (ObjectDescriptor* hit =
-          ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kRead)) {
-    ++xlat_.stats().hits;
-    return LoadScalar(memory_->at(hit->data_base + offset), width);
-  }
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     return Fault::kInvalidArgument;
   }
@@ -129,14 +44,6 @@ Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t o
 
 Status AddressingUnit::WriteData(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
                                  uint64_t value) {
-  if (ObjectDescriptor* hit =
-          ProbeFastDataHit(xlat_, *memory_, ad, offset, width, rights::kWrite)) {
-    ++xlat_.stats().hits;
-    StoreScalar(memory_->at(hit->data_base + offset), width, value);
-    // Same epoch bump as the slow path, on the descriptor already in hand.
-    ++hit->data_epoch;
-    return Status::Ok();
-  }
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     return Fault::kInvalidArgument;
   }

@@ -79,15 +79,15 @@ class AddressingUnit {
   // The AD-translation cache (src/arch/xlat_cache.h) every Resolve in this unit goes
   // through: a hit replicates Resolve's allocated/generation checks on the cached descriptor
   // pointer. Rights, bounds, quarantine, swap state, and data_base stay per-access on the
-  // resolved descriptor, so fault semantics are those of the authoritative Resolve. The
-  // kernel's instruction fetch shares the cache.
+  // resolved descriptor, so fault semantics are those of the authoritative Resolve.
   XlatCache& xlat() { return xlat_; }
 
  private:
-  // Common data-part checks; returns the physical address of (ad.data_base + offset): the
-  // miss path of ReadData/WriteData and the whole of the block transfers. GCC inlines it
-  // with or without always_inline, but forced inline early it leaves ReadData and WriteData
-  // about a fifth smaller at -O3 (GCC 12).
+  // The data-part checks, in the order that picks the fault (translation, quarantine,
+  // rights, residency, bounds); returns the physical address of (ad.data_base + offset).
+  // Every data access, scalar or block, takes this one path. GCC inlines it with or without
+  // always_inline, but forced inline early it leaves ReadData and WriteData about a fifth
+  // smaller at -O3 (GCC 12).
   __attribute__((always_inline)) inline Result<PhysAddr> CheckDataAccess(
       const AccessDescriptor& ad, uint32_t offset, uint32_t length, RightsMask required) const;
 

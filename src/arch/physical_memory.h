@@ -25,21 +25,50 @@ class PhysicalMemory {
 
   uint32_t size() const { return static_cast<uint32_t>(bytes_.size()); }
 
-  // Little-endian scalar access (the 432, like the 8086 family, was little-endian).
+  // Little-endian scalar access (the 432, like the 8086 family, was little-endian). Every
+  // scalar access in the system, checked by the addressing unit or not, is one of these:
+  // each width in {1, 2, 4, 8} compiles to one fixed-width load or store, and any other
+  // width faults with kInvalidArgument.
   Result<uint64_t> Read(PhysAddr addr, uint32_t width_bytes) const {
     if (!InRange(addr, width_bytes)) {
       return Fault::kBoundsViolation;
     }
-    uint64_t value = 0;
-    std::memcpy(&value, &bytes_[addr], width_bytes);
-    return value;
+    const uint8_t* p = &bytes_[addr];
+    switch (width_bytes) {
+      case 1:
+        return Load<uint8_t>(p);
+      case 2:
+        return Load<uint16_t>(p);
+      case 4:
+        return Load<uint32_t>(p);
+      case 8:
+        return Load<uint64_t>(p);
+      default:
+        return Fault::kInvalidArgument;
+    }
   }
 
   Status Write(PhysAddr addr, uint32_t width_bytes, uint64_t value) {
     if (!InRange(addr, width_bytes)) {
       return Fault::kBoundsViolation;
     }
-    std::memcpy(&bytes_[addr], &value, width_bytes);
+    uint8_t* p = &bytes_[addr];
+    switch (width_bytes) {
+      case 1:
+        Store<uint8_t>(p, value);
+        break;
+      case 2:
+        Store<uint16_t>(p, value);
+        break;
+      case 4:
+        Store<uint32_t>(p, value);
+        break;
+      case 8:
+        Store<uint64_t>(p, value);
+        break;
+      default:
+        return Fault::kInvalidArgument;
+    }
     return Status::Ok();
   }
 
@@ -72,12 +101,25 @@ class PhysicalMemory {
     return static_cast<uint64_t>(addr) + length <= bytes_.size();
   }
 
-  // Direct byte access for the addressing unit's fused fast path. Callers must pair with
-  // an InRange check; the accessor itself performs none.
+  // Direct byte access for a pinned ObjectView (proc/layouts.h), which checks its pinned
+  // descriptor's bounds first. Callers must pair with an InRange check; the accessor itself
+  // performs none.
   const uint8_t* at(PhysAddr addr) const { return &bytes_[addr]; }
   uint8_t* at(PhysAddr addr) { return &bytes_[addr]; }
 
  private:
+  template <typename T>
+  static uint64_t Load(const uint8_t* p) {
+    T value;
+    std::memcpy(&value, p, sizeof(T));
+    return value;
+  }
+  template <typename T>
+  static void Store(uint8_t* p, uint64_t value) {
+    T narrowed = static_cast<T>(value);
+    std::memcpy(p, &narrowed, sizeof(T));
+  }
+
   std::vector<uint8_t> bytes_;
 };
 

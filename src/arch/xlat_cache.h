@@ -4,20 +4,17 @@
 // capacity check plus allocated/generation validation per access. The running process's own
 // context, process and processor objects bypass it (each GDP's step frame keeps their
 // descriptors pinned while the process stays bound; see Kernel::StepFrame and ObjectView in
-// proc/layouts.h), and the frame fetches the program only when it is built or after a call,
-// return, segment-slot store, segment destruction or store change, so what reaches it per
-// instruction is the operand objects the instruction touches, plus those program fetches.
-// Each 432 processor kept the hot descriptors in an on-chip cache that every access went
-// through; this class is that structure for the emulator, one direct-mapped array owned by
-// the AddressingUnit and probed by every access from every processor and from host code. A
-// miss falls back to ObjectTable::Resolve. The kernel's instruction fetch shares it.
+// proc/layouts.h), and the frame is also where the program is cached, so what reaches this
+// cache per instruction is the operand objects the instruction touches. Each 432 processor
+// kept the hot descriptors in an on-chip cache that every access went through; this class
+// is that structure for the emulator, one direct-mapped array of descriptor pointers owned
+// by the AddressingUnit and probed by every access from every processor and from host code.
+// A miss falls back to ObjectTable::Resolve.
 //
 // Every entry is epoch-keyed. A hit still revalidates the descriptor's `allocated` bit and
 // generation against the presented AD (exactly the checks ObjectTable::Resolve performs), so
 // a freed or reallocated slot can never serve stale; what the hit skips is the call, the
-// capacity test, and the Result plumbing. Instruction-fetch payload hits additionally
-// revalidate the segment type, the descriptor's `data_epoch`, and the ProgramStore version
-// before bypassing the store's map lookup. No kernel event needs to clear the cache: every
+// capacity test, and the Result plumbing. No kernel event needs to clear the cache: every
 // change to what an AD translates to fails one of these compares, which is also why one
 // cache can serve every processor: an entry another processor filled is revalidated like
 // any other.
@@ -47,18 +44,14 @@ struct XlatEntry {
   // Descriptor slot pointer. Stable for the table's lifetime (slots are never reallocated);
   // liveness is revalidated per hit.
   ObjectDescriptor* descriptor = nullptr;
-  // Decoded-program payload for instruction segments (kernel-owned const Program*, typed
-  // void to keep this arch header free of isa dependencies). Null for entries filled by the
-  // AddressingUnit resolve path.
-  const void* program = nullptr;
-  uint64_t program_version = 0;  // ProgramStore::version() at program fill
-  uint32_t data_epoch = 0;       // descriptor->data_epoch at fill (content witness)
 };
 
 struct XlatCacheStats {
-  uint64_t hits = 0;          // resolve hits (AddressingUnit path)
-  uint64_t misses = 0;        // probes that fell back to the authoritative Resolve
-  uint64_t program_hits = 0;  // instruction-fetch payload hits
+  uint64_t hits = 0;    // probes served by a cached descriptor
+  uint64_t misses = 0;  // probes that fell back to the authoritative Resolve
+  // Always 0: the cache holds no programs (the step frame does; KernelStats counts its
+  // fetches). Kept only because the end-to-end benchmark's harness still adds them in.
+  uint64_t program_hits = 0;
   uint64_t program_misses = 0;
 };
 

@@ -283,7 +283,7 @@ Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor
                                               uint32_t state_slots) {
   if (verify_on_load_) {
     for (const AccessDescriptor& entry_segment : entries) {
-      IMAX_ASSIGN_OR_RETURN(ProgramRef entry_program, programs_.Fetch(entry_segment));
+      IMAX_ASSIGN_OR_RETURN(const Program* entry_program, programs_.Fetch(entry_segment));
       analysis::VerifyOptions verify_options;
       verify_options.entry = ProgramKind::kDomainEntry;
       // Domains are called from arbitrary levels with arbitrary arguments, so nothing else
@@ -581,6 +581,18 @@ void Kernel::Requeue(const AccessDescriptor& process) {
   }
 }
 
+bool Kernel::Dispatchable(const AccessDescriptor& ad) const {
+  auto resolved = machine_->table().Resolve(ad);
+  if (!resolved.ok() || resolved.value()->type != SystemType::kProcess ||
+      !ad.HasRights(rights::kRead | rights::kWrite)) {
+    return false;
+  }
+  // Read from the descriptor in hand: a checked view would resolve the AD a second time.
+  auto state =
+      machine_->memory().Read(resolved.value()->data_base + ProcessLayout::kOffState, 1);
+  return state.ok() && state.value() == static_cast<uint64_t>(ProcessState::kReady);
+}
+
 void Kernel::ProcessorFetch(uint16_t processor_id) {
   ProcessorRec& rec = processors_[processor_id];
   if (rec.halted) {
@@ -597,14 +609,12 @@ void Kernel::ProcessorFetch(uint16_t processor_id) {
   ObjectView processor(&machine_->addressing(), rec.object);
   processor.SetSlot(ProcessorLayout::kSlotCurrentProcess, AccessDescriptor());
 
-  // Skip stale entries: a queued local-lifetime process whose ancestral SRO died leaves a
-  // dangling AD that the generation check exposes here.
   for (;;) {
     auto next = ports_.Dequeue(rec.dispatch_port);
     if (!next.ok()) {
       break;
     }
-    if (machine_->table().Resolve(next.value()).ok()) {
+    if (Dispatchable(next.value())) {
       BindProcess(rec, next.value());
       return;
     }
@@ -721,14 +731,15 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
   ContextView& ctx = frame.ctx;
   // The program is fetched again unless a fetch would return it unchanged: the context's
   // instruction-segment slot still holds the AD it was fetched through (a StoreAd through a
-  // context AD can rewrite the slot), that segment is still live, and the store version has
-  // not moved (Register, Replace and Forget move it).
+  // context AD can rewrite the slot), that segment is still live, and its data_epoch has not
+  // moved (ProgramStore::Replace moves it).
   AccessDescriptor segment = ctx.instruction_segment();
   if (frame.program == nullptr || segment != frame.segment ||
       !frame.segment_descriptor->allocated ||
       frame.segment_descriptor->generation != segment.generation() ||
-      frame.program_version != programs_.version()) {
-    auto fetched = FetchProgram(segment);
+      frame.segment_descriptor->data_epoch != frame.segment_epoch) {
+    ++stats_.program_fetches;
+    auto fetched = programs_.Fetch(segment);
     if (!fetched.ok()) {
       FaultAndFetch(processor_id, proc, fetched.fault());
       return false;
@@ -736,7 +747,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     frame.program = fetched.value();
     frame.segment = segment;
     frame.segment_descriptor = &machine_->table().At(segment.index());
-    frame.program_version = programs_.version();
+    frame.segment_epoch = frame.segment_descriptor->data_epoch;
   }
   const Program& program = *frame.program;
 
@@ -1691,41 +1702,6 @@ analysis::RaceAnalysisReport Kernel::AnalyzeRaces() {
 analysis::LifetimeAnalysisReport Kernel::AnalyzeLifetimes() {
   EnsureSummaries();
   return analysis::AnalyzeLifetimes(effect_graph_, lifetime_summaries_);
-}
-
-Result<const Program*> Kernel::FetchProgram(const AccessDescriptor& ad) {
-  XlatCache& xlat = machine_->addressing().xlat();
-  XlatEntry& entry = xlat.Probe(ad.index());
-  if (entry.program != nullptr && entry.index == ad.index() &&
-      entry.generation == ad.generation()) {
-    // Revalidate exactly what ProgramStore::Fetch checks, plus the epochs that witness
-    // content stability (descriptor data_epoch, store version).
-    const ObjectDescriptor* descriptor = entry.descriptor;
-    if (descriptor->allocated && descriptor->generation == ad.generation() &&
-        descriptor->type == SystemType::kInstructionSegment &&
-        descriptor->data_epoch == entry.data_epoch &&
-        entry.program_version == programs_.version()) {
-      ++xlat.stats().program_hits;
-      return static_cast<const Program*>(entry.program);
-    }
-  }
-  ++xlat.stats().program_misses;
-  IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
-  if (descriptor->type != SystemType::kInstructionSegment) {
-    return Fault::kTypeMismatch;
-  }
-  const Program* program = programs_.Find(ad.index());
-  if (program == nullptr) {
-    return Fault::kNotFound;
-  }
-  entry = XlatEntry{};
-  entry.index = ad.index();
-  entry.generation = ad.generation();
-  entry.descriptor = descriptor;
-  entry.program = program;
-  entry.program_version = programs_.version();
-  entry.data_epoch = descriptor->data_epoch;
-  return program;
 }
 
 Cycles Kernel::TotalBusyCycles() const {

@@ -99,6 +99,7 @@ struct KernelStats {
   uint64_t processors_retired = 0;   // GDPs permanently halted (fault injection / operator)
   uint64_t processors_stalled = 0;   // transient GDP stalls applied
   uint64_t retirement_requeues = 0;  // in-flight processes rescued from a retired GDP
+  uint64_t program_fetches = 0;      // programs a GDP's step frame fetched from the store
 };
 
 class Kernel {
@@ -282,7 +283,7 @@ class Kernel {
   analysis::LifetimeAuditor* lifetime_auditor() { return lifetime_auditor_.get(); }
 
   // Hit/miss counters of the addressing unit's translation cache, which every processor's
-  // accesses and program fetches go through.
+  // accesses go through.
   const XlatCacheStats& xlat_stats() const { return machine_->addressing().xlat().stats(); }
 
   // Object names used by analysis diagnostics and annotated disassembly. Name ports before
@@ -327,11 +328,12 @@ class Kernel {
   // A GDP's bound process's objects, the descriptors the 432 kept on chip: the pinned process
   // view, the pinned processor view, the pinned view of the process's current context, and
   // the program that context executes, with the segment AD it was fetched through, that
-  // segment's descriptor and the ProgramStore::version() at the fetch. One per GDP, kept from
-  // one event to the next. Another GDP, the collector, the patrol, the fault injector or host
-  // code may act between two events, so each event reuses the frame only while every pinned
-  // view still passes the checks a new pin makes; otherwise it starts from an empty frame,
-  // which the first instruction builds (DESIGN.md §10).
+  // segment's descriptor and the descriptor's data_epoch at the fetch. The frame is the only
+  // place a program is cached. One per GDP, kept from one event to the next. Another GDP,
+  // the collector, the patrol, the fault injector or host code may act between two events,
+  // so each event reuses the frame only while every pinned view still passes the checks a
+  // new pin makes; otherwise it starts from an empty frame, which the first instruction
+  // builds (DESIGN.md §10).
   struct StepFrame {
     ProcessView proc;
     ObjectView processor;
@@ -339,7 +341,7 @@ class Kernel {
     const Program* program = nullptr;
     AccessDescriptor segment;
     const ObjectDescriptor* segment_descriptor = nullptr;
-    uint64_t program_version = 0;
+    uint32_t segment_epoch = 0;
 
     bool PinsHold() const { return proc.PinHolds() && processor.PinHolds() && ctx.PinHolds(); }
   };
@@ -354,10 +356,10 @@ class Kernel {
   // a different bound process rebuilds it, a different context AD in the process's context
   // slot re-pins the context and refetches the program, and the program is refetched unless
   // the context's instruction-segment slot still holds the AD it was fetched through, that
-  // segment is still live and ProgramStore::version() has not moved. Returns true, with its
-  // completion time in `*next`, when the process goes on to its next instruction here: a
-  // kContinue step inside the time slice. Otherwise the step has already scheduled whatever
-  // comes next.
+  // segment is still live and its data_epoch has not moved (ProgramStore::Replace moves it).
+  // Returns true, with its completion time in `*next`, when the process goes on to its next
+  // instruction here: a kContinue step inside the time slice. Otherwise the step has already
+  // scheduled whatever comes next.
   bool StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* next);
   // Raises `fault` on the process and has the processor look for other work after the
   // fault-recovery charge.
@@ -368,6 +370,13 @@ class Kernel {
   void Requeue(const AccessDescriptor& process);
   // Tries to bind the next ready process; goes idle if none.
   void ProcessorFetch(uint16_t processor_id);
+  // True when an AD dequeued from a dispatching port names a process BindProcess can bind:
+  // it resolves to a process object in the ready state, and carries the read and write
+  // rights BindProcess uses. Anything else is skipped: a stale AD (a queued local-lifetime
+  // process whose ancestral SRO died), and whatever a process holding its own process AD
+  // sent to its dispatching port by hand, such as a non-process object or itself while
+  // running.
+  bool Dispatchable(const AccessDescriptor& ad) const;
   // Schedule the processor's step or fetch as a processor event, whose argument is the
   // processor id shifted left one bit, plus one for a fetch (the handler the constructor
   // installs decodes it).
@@ -422,13 +431,6 @@ class Kernel {
   // Files the load facts of `segment` unless an earlier load already did (the first load
   // wins), and under verify-on-load summarizes the program at once.
   void NoteLoad(const AccessDescriptor& segment, const LoadFacts& facts);
-
-  // Instruction fetch through the addressing unit's translation cache: a hit skips the
-  // table resolve and the program-store map lookup. Every hit rechecks liveness, generation,
-  // type, data_epoch, and the store version, so every path that could change what an AD
-  // translates to forces the authoritative slow path. The pointer is the store's: it stays
-  // valid until Replace or Forget drops the program, and both move the store version.
-  Result<const Program*> FetchProgram(const AccessDescriptor& ad);
 
   // Runs the AD-flow pass (analysis/effects.h) over the program from its load facts and
   // stores both halves: the IPC effect summary in the effect graph, and the lifetime summary

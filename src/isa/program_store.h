@@ -31,12 +31,16 @@ class ProgramStore {
     IMAX_RETURN_IF_FAULT(machine_->memory().Write(
         machine_->table().At(ad.index()).data_base, 4, program->size()));
     programs_[ad.index()] = std::move(program);
-    ++version_;
     return ad;
   }
 
-  // Looks up the program behind an instruction-segment AD.
-  Result<ProgramRef> Fetch(const AccessDescriptor& ad) const {
+  // Looks up the program behind an instruction-segment AD: the one lookup, with the checks
+  // a fetch makes (the AD resolves, the object is an instruction segment, the store holds
+  // its content). The pointer stays valid until Replace or Forget drops the program. Kept
+  // out of line: a GDP's step frame calls it only when it fetches again, and inlined into
+  // Kernel::StepInstruction it cost 1-2.6% of perfbench's host time per instruction
+  // (interp_alloc and request_reply, 4-core x86-64 container host).
+  __attribute__((noinline)) Result<const Program*> Fetch(const AccessDescriptor& ad) const {
     IMAX_ASSIGN_OR_RETURN(const ObjectDescriptor* descriptor,
                           machine_->table().Resolve(ad));
     if (descriptor->type != SystemType::kInstructionSegment) {
@@ -46,15 +50,16 @@ class ProgramStore {
     if (it == programs_.end()) {
       return Fault::kNotFound;
     }
-    return it->second;
+    return it->second.get();
   }
 
   // Replaces the program behind a live instruction segment in place (hot-patching a loaded
-  // program without changing its architectural identity). Staleness contract: bumps BOTH
-  // invalidation keys the translation cache consults — the store version() (program
-  // payloads key on it) and the segment descriptor's data_epoch (the per-object content
-  // witness) — plus rewrites the instruction-count metadata. Missing either bump would let
-  // a cached translation keep serving the old code.
+  // program without changing its architectural identity). Staleness contract: bumps the
+  // segment descriptor's data_epoch, the one key a GDP's step frame fetches again on, and
+  // rewrites the instruction-count metadata. Without the bump a frame that already fetched
+  // the segment would keep running the old code. Register needs no key (it fills a newly
+  // allocated slot, so the generation differs), nor does Forget (it runs after the
+  // descriptor is freed).
   Status Replace(const AccessDescriptor& ad, ProgramRef program) {
     IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
     if (descriptor->type != SystemType::kInstructionSegment) {
@@ -67,7 +72,6 @@ class ProgramStore {
     IMAX_RETURN_IF_FAULT(
         machine_->memory().Write(descriptor->data_base, 4, program->size()));
     it->second = std::move(program);
-    ++version_;
     ++descriptor->data_epoch;
     // Static analysis summarized the OLD code: let the owner retract it (the kernel wires
     // this to ForgetProgramAnalysis, which drops the stale effect and lifetime summaries).
@@ -81,21 +85,7 @@ class ProgramStore {
   }
 
   // Drops the program content of a reclaimed instruction segment (called by the GC).
-  void Forget(ObjectIndex index) {
-    if (programs_.erase(index) != 0) ++version_;
-  }
-
-  // Raw pointer lookup for the kernel's translation-cache fill path: no Resolve, no
-  // shared_ptr traffic. The pointer stays valid until Forget or Replace drops the program —
-  // both bump version(), killing every cache entry that captured it.
-  const Program* Find(ObjectIndex index) const {
-    auto it = programs_.find(index);
-    return it == programs_.end() ? nullptr : it->second.get();
-  }
-
-  // Bumped on every Register, successful Replace and successful Forget. Translation-cache
-  // program payloads are keyed on it: any store mutation invalidates them wholesale.
-  uint64_t version() const { return version_; }
+  void Forget(ObjectIndex index) { programs_.erase(index); }
 
   size_t size() const { return programs_.size(); }
 
@@ -112,7 +102,6 @@ class ProgramStore {
   Machine* machine_;
   MemoryManager* memory_;
   std::map<ObjectIndex, ProgramRef> programs_;
-  uint64_t version_ = 0;
   std::function<void(ObjectIndex)> replace_hook_;
 };
 

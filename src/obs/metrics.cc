@@ -30,7 +30,8 @@ CounterMap CountersFor(const KernelStats& stats) {
           {"effect_summaries", stats.effect_summaries},
           {"processors_retired", stats.processors_retired},
           {"processors_stalled", stats.processors_stalled},
-          {"retirement_requeues", stats.retirement_requeues}};
+          {"retirement_requeues", stats.retirement_requeues},
+          {"program_fetches", stats.program_fetches}};
 }
 
 CounterMap CountersFor(const PortStats& stats) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/arch/object_table.h"
 #include "src/arch/physical_memory.h"
 
@@ -186,6 +188,98 @@ TEST_F(AddressingUnitTest, SwappedOutSegmentFaults) {
   // Access part stays usable while the data part is swapped (descriptors stay resident).
   AccessDescriptor container = MakeObject(1, 0, 1, rights::kRead | rights::kWrite);
   EXPECT_TRUE(unit_.WriteAd(container, 0, ad).ok());
+}
+
+// Fault selection on the one data path. Each case breaks what it names on a fresh 16-byte
+// object, then runs ReadData and WriteData against it: once on a cold translation (nothing
+// has accessed the object) and once on a warm one (a successful access filled the
+// translation before the break, so the faulting access probes a cached entry). Combined
+// failures pin the order the path picks a fault in: width, translation, quarantine, rights,
+// residency, bounds. A successful write moves data_epoch exactly once; a fault never does.
+struct DataAccessCase {
+  const char* name;
+  bool null_ad = false;      // present a null AD
+  bool stale = false;        // free the object and reallocate its slot at the next generation
+  bool quarantined = false;
+  bool swapped = false;
+  RightsMask rights = rights::kRead | rights::kWrite;  // the presented AD's rights
+  uint32_t offset = 0;
+  uint32_t width = 8;
+  Fault fault = Fault::kNone;
+};
+
+TEST_F(AddressingUnitTest, DataAccessPicksOneFaultColdOrWarm) {
+  const DataAccessCase cases[] = {
+      {.name = "ok"},
+      {.name = "null", .null_ad = true, .fault = Fault::kNullAccess},
+      {.name = "stale generation", .stale = true, .fault = Fault::kInvalidAccess},
+      {.name = "quarantined", .quarantined = true, .fault = Fault::kObjectQuarantined},
+      {.name = "no rights", .rights = rights::kNone, .fault = Fault::kRightsViolation},
+      {.name = "swapped out", .swapped = true, .fault = Fault::kSegmentSwapped},
+      {.name = "out of bounds", .offset = 12, .fault = Fault::kBoundsViolation},
+      {.name = "width 3", .width = 3, .fault = Fault::kInvalidArgument},
+      {.name = "quarantined and no rights",
+       .quarantined = true,
+       .rights = rights::kNone,
+       .fault = Fault::kObjectQuarantined},
+      {.name = "swapped and out of bounds",
+       .swapped = true,
+       .offset = 12,
+       .fault = Fault::kSegmentSwapped},
+      {.name = "bad width and null",
+       .null_ad = true,
+       .width = 3,
+       .fault = Fault::kInvalidArgument},
+  };
+  const XlatCacheStats& stats = unit_.xlat().stats();
+  for (const DataAccessCase& c : cases) {
+    for (bool warm : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (warm ? ", warm" : ", cold"));
+      AccessDescriptor ad = MakeObject(0, 16, 0, rights::kRead | rights::kWrite);
+      if (warm) {
+        ASSERT_TRUE(unit_.WriteData(ad, 0, 8, 0x1122334455667788u).ok());
+      }
+      ObjectDescriptor& object = table_.At(ad.index());
+      object.quarantined = c.quarantined;
+      object.swapped_out = c.swapped;
+      if (c.stale) {
+        ASSERT_TRUE(table_.Free(ad.index()).ok());
+        AccessDescriptor tenant = MakeObject(0, 16, 0, rights::kRead | rights::kWrite);
+        ASSERT_EQ(tenant.index(), ad.index());
+      }
+      AccessDescriptor presented = c.null_ad ? AccessDescriptor() : ad.Restricted(c.rights);
+      const uint32_t epoch = object.data_epoch;
+      const uint64_t hits = stats.hits;
+      const uint64_t misses = stats.misses;
+
+      auto read = unit_.ReadData(presented, c.offset, c.width);
+      Status write = unit_.WriteData(presented, c.offset, c.width, 7);
+      if (c.fault == Fault::kNone) {
+        ASSERT_TRUE(read.ok());
+        EXPECT_EQ(read.value(), warm ? 0x1122334455667788u : 0u);
+        ASSERT_TRUE(write.ok());
+        EXPECT_EQ(unit_.ReadData(presented, c.offset, c.width).value(), 7u);
+        EXPECT_EQ(object.data_epoch, epoch + 1);
+      } else {
+        EXPECT_EQ(read.fault(), c.fault);
+        EXPECT_EQ(write.fault(), c.fault);
+        EXPECT_EQ(object.data_epoch, epoch);
+      }
+      if (c.fault == Fault::kSegmentSwapped) {
+        EXPECT_EQ(unit_.last_swapped_object(), ad.index());
+      }
+      const uint64_t new_misses = stats.misses - misses;
+      if (c.width != 8) {
+        EXPECT_EQ(stats.hits - hits + new_misses, 0u);  // the width check probes nothing
+      } else if (!c.null_ad && !c.stale) {
+        // Where the AD still resolves, a cold translation misses once (the first access
+        // fills it) and a warm one never: the fault was picked on a cache hit.
+        EXPECT_EQ(new_misses, warm ? 0u : 1u);
+      }
+      object.quarantined = false;
+      object.swapped_out = false;
+    }
+  }
 }
 
 }  // namespace

@@ -48,6 +48,13 @@ TEST(PhysicalMemoryTest, OverflowingAddressFaults) {
   EXPECT_EQ(memory.Read(0xfffffff0u, 8).fault(), Fault::kBoundsViolation);
 }
 
+TEST(PhysicalMemoryTest, ScalarWidthsOtherThanOneTwoFourEightFault) {
+  PhysicalMemory memory(64);
+  EXPECT_EQ(memory.Read(0, 3).fault(), Fault::kInvalidArgument);
+  EXPECT_EQ(memory.Write(0, 16, 1).fault(), Fault::kInvalidArgument);
+  EXPECT_EQ(memory.Read(0, 8).value(), 0u);  // nothing was written
+}
+
 TEST(PhysicalMemoryTest, BlockRoundTrip) {
   PhysicalMemory memory(128);
   uint8_t out[32];

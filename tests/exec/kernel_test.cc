@@ -804,8 +804,8 @@ TEST_F(KernelTest, RunBoundedCountsInstructionsContinuedInline) {
 // --- The step frame: a GDP's bound process's pinned objects and program ---
 
 // An OsCall service hot-patches the running segment. The instruction after the call is
-// continued inline in the same event, and the frame refetches on the moved store version, so
-// it already runs the new code.
+// continued inline in the same event, and the frame refetches on the segment's moved
+// data_epoch, so it already runs the new code.
 TEST(KernelStepFrameTest, SelfReplaceRunsTheNewCodeOnTheNextInlineInstruction) {
   Machine machine(SmallConfig());
   BasicMemoryManager memory(&machine);
@@ -878,8 +878,8 @@ TEST(KernelStepFrameTest, StoringTheSegmentSlotRunsTheNewCodeOnTheNextInlineInst
 }
 
 // An OsCall service destroys the running segment without the collector, so the store keeps
-// its program and its version. The frame sees the dead segment descriptor, and the next
-// instruction's fetch faults with kInvalidAccess, as a fetch through a dead AD does.
+// its program. The frame sees the dead segment descriptor, and the next instruction's fetch
+// faults with kInvalidAccess, as a fetch through a dead AD does.
 TEST(KernelStepFrameTest, DestroyingTheRunningSegmentFaultsTheNextInlineInstruction) {
   Machine machine(SmallConfig());
   BasicMemoryManager memory(&machine);
@@ -898,10 +898,10 @@ TEST(KernelStepFrameTest, DestroyingTheRunningSegmentFaultsTheNextInlineInstruct
   auto process = kernel.CreateProcess(a.Build(), {});
   ASSERT_TRUE(process.ok());
   ASSERT_TRUE(kernel.StartProcess(process.value()).ok());
-  const uint64_t version = kernel.programs().version();
+  const size_t programs = kernel.programs().size();
 
   kernel.Run();
-  EXPECT_EQ(kernel.programs().version(), version);
+  EXPECT_EQ(kernel.programs().size(), programs);
   EXPECT_EQ(kernel.stats().instructions_executed, 1u);
   ProcessView view = kernel.process_view(process.value());
   EXPECT_EQ(view.state(), ProcessState::kTerminated);
@@ -1000,6 +1000,79 @@ TEST(KernelStepFrameTest, PinHoldsOnlyWhileThePinChecksPass) {
   ASSERT_EQ(tenant.value().index(), object.value().index());
   EXPECT_FALSE(pinned.PinHolds());  // allocated again, at another generation
   EXPECT_TRUE(ObjectView(&machine.addressing(), tenant.value(), kPin).PinHolds());
+}
+
+// A GDP's step frame is the only place a program is cached, so KernelStats::program_fetches
+// counts every time a frame had to go back to the store. A loop alone on its GDP keeps its
+// frame across its slice ends and fetches once. Two loops sharing a GDP in short slices
+// fetch once per dispatch: each binds the other process, whose frame is rebuilt. A loop
+// making N domain calls fetches 1 + 2N times: the callee's program at each call, the
+// caller's again at each return.
+TEST(KernelStepFrameTest, FetchesOnlyWhenAnotherProcessOrContextIsBound) {
+  struct Outcome {
+    KernelStats stats;
+    bool all_terminated = true;
+  };
+  // Runs `count` processes of `program` on one GDP with a short time slice; a non-null
+  // `callee` is first registered as the sole entry of a domain passed to each in a7.
+  auto run = [](const ProgramRef& program, int count, const ProgramRef& callee = nullptr) {
+    MachineConfig config = SmallConfig();
+    config.time_slice = 2000;
+    Machine machine(config);
+    BasicMemoryManager memory(&machine);
+    Kernel kernel(&machine, &memory);
+    EXPECT_TRUE(kernel.AddProcessors(1).ok());
+    ProcessOptions options;
+    if (callee != nullptr) {
+      auto segment = kernel.programs().Register(callee);
+      EXPECT_TRUE(segment.ok());
+      auto domain = kernel.CreateDomain({segment.value()});
+      EXPECT_TRUE(domain.ok());
+      options.initial_arg = domain.value();
+    }
+    std::vector<AccessDescriptor> processes;
+    for (int i = 0; i < count; ++i) {
+      auto process = kernel.CreateProcess(program, options);
+      EXPECT_TRUE(process.ok());
+      EXPECT_TRUE(kernel.StartProcess(process.value()).ok());
+      processes.push_back(process.value());
+    }
+    kernel.Run();
+    Outcome outcome{kernel.stats()};
+    for (const AccessDescriptor& process : processes) {
+      outcome.all_terminated &=
+          kernel.process_view(process).state() == ProcessState::kTerminated;
+    }
+    return outcome;
+  };
+  auto loop = [](uint32_t iters, bool call) {
+    Assembler a(call ? "call-loop" : "loop");
+    auto top = a.NewLabel();
+    a.MoveAd(1, kArgAdReg).LoadImm(0, 0).LoadImm(3, iters).Bind(top);
+    if (call) a.Call(1, 0);
+    a.AddImm(0, 0, 1).BranchIfLess(0, 3, top).Halt();
+    return a.Build();
+  };
+
+  Outcome alone = run(loop(1000, false), 1);
+  EXPECT_TRUE(alone.all_terminated);
+  EXPECT_GT(alone.stats.time_slice_ends, 0u);
+  EXPECT_EQ(alone.stats.dispatches, alone.stats.time_slice_ends + 1);
+  EXPECT_EQ(alone.stats.program_fetches, 1u);
+
+  Outcome shared = run(loop(1000, false), 2);
+  EXPECT_TRUE(shared.all_terminated);
+  EXPECT_GT(shared.stats.dispatches, 4u);
+  EXPECT_EQ(shared.stats.program_fetches, shared.stats.dispatches);
+
+  constexpr uint32_t kCalls = 5;
+  Assembler callee("callee");
+  callee.AddImm(7, 7, 1).Return();
+  Outcome calls = run(loop(kCalls, true), 1, callee.Build());
+  EXPECT_TRUE(calls.all_terminated);
+  EXPECT_EQ(calls.stats.domain_calls, kCalls);
+  EXPECT_EQ(calls.stats.faults_delivered, 0u);
+  EXPECT_EQ(calls.stats.program_fetches, 1 + 2 * kCalls);
 }
 
 // A domain call and its return switch the process's context twice inside one event: the
@@ -1305,6 +1378,46 @@ TEST_F(KernelTest, DestroyingTheRunningContextFaults) {
   EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
   EXPECT_TRUE(machine_.table().Resolve(context).ok());
   EXPECT_TRUE(View(process).context().SameObject(context));
+}
+
+// The process reads its dispatching port from its process object and sends the generic
+// object there, then halts. The processor, looking for work, dequeues a resolvable AD that
+// names no process: it skips it, as it skips a stale one, instead of binding it.
+TEST_F(KernelTest, ANonProcessAtTheDispatchPortIsSkipped) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor process =
+      SpawnHoldingItsProcess(machine_, memory_, kernel_, [](Assembler& a) {
+        a.LoadAd(4, 2, ProcessLayout::kSlotDispatchPort).Send(4, 3).Halt();
+      });
+  kernel_.Run();
+  EXPECT_EQ(View(process).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.stats().dispatches, 1u);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 0u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
+}
+
+// On two GDPs, the running process sends its own AD to its dispatching port, finishes a
+// loop and halts. A processor that dequeues the AD finds a process that is not ready (it is
+// running, or has terminated) and skips it: the process is dispatched once and ends once.
+TEST_F(KernelTest, ARunningProcessAtItsDispatchPortIsNotBoundAgain) {
+  ASSERT_TRUE(kernel_.AddProcessors(2).ok());
+  AccessDescriptor process =
+      SpawnHoldingItsProcess(machine_, memory_, kernel_, [](Assembler& a) {
+        auto loop = a.NewLabel();
+        a.LoadAd(4, 2, ProcessLayout::kSlotDispatchPort)
+            .Send(4, 2)
+            .LoadImm(0, 0)
+            .LoadImm(1, 50)
+            .Bind(loop)
+            .AddImm(0, 0, 1)
+            .BranchIfLess(0, 1, loop)
+            .Halt();
+      });
+  kernel_.Run();
+  EXPECT_EQ(View(process).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.stats().dispatches, 1u);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 0u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
 }
 
 TEST(KernelPinningTest, PatrolSweepsDuringATwoGdpLoopFindNothing) {

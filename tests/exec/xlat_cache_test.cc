@@ -1,8 +1,9 @@
 // The AD-translation cache (src/arch/xlat_cache.h) and its kernel integration: the
-// direct-mapped structure itself, the addressing-unit tier (every downstream check still
-// enforced), the program-fetch tier (a hot-patched segment is never served stale), one cache
-// shared by every processor, and the pure-observer contract (virtual time identical to the
-// uncached reference runs pinned below).
+// direct-mapped structure itself, the addressing unit's accesses through it (every
+// downstream check still enforced), the step frame that caches the program beside it (a
+// hot-patched segment is never run stale), one cache shared by every processor, and the
+// pure-observer contract (virtual time identical to the uncached reference runs pinned
+// below).
 
 #include "src/arch/xlat_cache.h"
 
@@ -200,6 +201,7 @@ struct RunOutcome {
   Cycles now = 0;
   uint64_t instructions = 0;
   uint64_t counter = 0;
+  uint64_t program_fetches = 0;
 };
 
 // Runs `processes` counter loops, each on its own object, to completion; `counter` is the
@@ -233,11 +235,11 @@ RunOutcome RunCounterWorkload(System& system, uint32_t iters, int processes = 1)
   return outcome;
 }
 
-// Two counter loops time-sliced on one GDP. A GDP keeps its step frame, and with it the
-// fetched program, from one event to the next while the same process stays bound, so a loop
-// alone on its GDP fetches its program once. Every slice end here binds the other loop,
-// whose frame is rebuilt and whose program is fetched again, which is where the program
-// tier serves.
+// Two counter loops time-sliced on one GDP. The translation cache serves the loops' operand
+// accesses; the program sits in the GDP's step frame, which is kept from one event to the
+// next while the same process stays bound, so a loop alone on its GDP fetches its program
+// once. Every slice end here binds the other loop, whose frame is rebuilt and whose program
+// is fetched again from the store.
 TEST(XlatKernelTest, HotLoopPopulatesBothCacheTiers) {
   System system(SlicedConfig());
   RunOutcome outcome = RunCounterWorkload(system, 200, /*processes=*/2);
@@ -245,8 +247,9 @@ TEST(XlatKernelTest, HotLoopPopulatesBothCacheTiers) {
   EXPECT_GT(system.kernel().stats().time_slice_ends, 4u);
   XlatCacheStats stats = system.kernel().xlat_stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.program_hits, 0u);
-  EXPECT_GT(stats.program_misses, 0u);  // the compulsory fill
+  EXPECT_EQ(stats.program_hits, 0u);  // the cache holds descriptors only
+  EXPECT_EQ(stats.program_misses, 0u);
+  EXPECT_GT(system.kernel().stats().program_fetches, 4u);
 }
 
 // The uncached reference: RunCounterWorkload(system, 300) with the translation cache off, as
@@ -349,13 +352,13 @@ TEST(XlatKernelTest, ProcessorsShareOneCache) {
 
 // Hot-patches the running process's segment mid-loop with code that adds 10 per iteration
 // instead of 1. The patched loop has the same shape, so the saved pc stays meaningful.
-// Nothing clears the cache: the program payload must go stale on the store version and the
-// segment's data_epoch alone. With `neighbour`, a second loop shares the GDP in short time
-// slices, so the counter's program is fetched again at every rebind and the program tier
-// serves it; alone, the counter keeps its frame and fetches once.
+// Nothing clears the step frame: its program must go stale on the segment's data_epoch
+// alone. With `neighbour`, a second loop shares the GDP in short time slices, so the
+// counter's program is fetched again at every rebind; alone, the counter keeps its frame,
+// fetches once, and once more after the patch.
 constexpr uint32_t kPatchedIters = 1000;
 
-RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch, bool neighbour) {
+RunOutcome RunPatchedCounter(uint64_t* fetches_before_patch, bool neighbour) {
   System system(neighbour ? SlicedConfig() : CounterConfig());
   auto shared = system.memory().CreateObject(system.memory().global_heap(),
                                              SystemType::kGeneric, 64, 0,
@@ -377,7 +380,7 @@ RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch, bool neighbour
         system.Spawn(CounterLoop("xlat.neighbour", kPatchedIters).Build(), other_options).ok());
   }
   system.RunUntil(20000);  // mid-loop
-  *program_hits_before_patch = system.kernel().xlat_stats().program_hits;
+  *fetches_before_patch = system.kernel().stats().program_fetches;
 
   ContextView ctx(&system.machine().addressing(),
                   system.kernel().process_view(process.value()).context());
@@ -392,6 +395,7 @@ RunOutcome RunPatchedCounter(uint64_t* program_hits_before_patch, bool neighbour
   auto counter = system.machine().addressing().ReadData(shared.value(), 0, 8);
   EXPECT_TRUE(counter.ok());
   outcome.counter = counter.value();
+  outcome.program_fetches = system.kernel().stats().program_fetches;
   return outcome;
 }
 
@@ -409,9 +413,9 @@ constexpr Cycles kSlicedPatchedNow = 120676;
 constexpr uint64_t kSlicedPatchedInstructions = 10008;
 
 TEST(XlatKernelTest, ReplacedSegmentRunsTheNewCodeWithTheCacheOn) {
-  uint64_t hits_on = 0;
-  RunOutcome sliced = RunPatchedCounter(&hits_on, /*neighbour=*/true);
-  EXPECT_GT(hits_on, 0u);  // the old code was being served from the cache at the patch
+  uint64_t fetches_sliced = 0;
+  RunOutcome sliced = RunPatchedCounter(&fetches_sliced, /*neighbour=*/true);
+  EXPECT_GT(fetches_sliced, 2u);  // the old code was being fetched again at each rebind
 
   // Some iterations ran the old code and the rest the new: the counter is neither the
   // all-old nor the all-new total.
@@ -421,8 +425,10 @@ TEST(XlatKernelTest, ReplacedSegmentRunsTheNewCodeWithTheCacheOn) {
   EXPECT_EQ(sliced.now, kSlicedPatchedNow);
   EXPECT_EQ(sliced.instructions, kSlicedPatchedInstructions);
 
-  uint64_t hits_alone = 0;
-  RunOutcome on = RunPatchedCounter(&hits_alone, /*neighbour=*/false);
+  uint64_t fetches_alone = 0;
+  RunOutcome on = RunPatchedCounter(&fetches_alone, /*neighbour=*/false);
+  EXPECT_EQ(fetches_alone, 1u);
+  EXPECT_EQ(on.program_fetches, 2u);  // the patch's data_epoch bump, and nothing else
   EXPECT_GT(on.counter, kPatchedIters);
   EXPECT_LT(on.counter, 10 * kPatchedIters);
   EXPECT_EQ(on.counter, kUncachedPatchedCounter);

@@ -1,6 +1,6 @@
-// ProgramStore::Fetch invalidation semantics — the baseline contract the translation
-// cache's epoch-keyed program tier must reproduce exactly: object-table mutation (free,
-// generation reuse), data_epoch bumps, and the Register/Forget version counter.
+// ProgramStore::Fetch, the one program lookup, and its invalidation semantics: object-table
+// mutation (free, generation reuse) and Replace's data_epoch bump, the one key a GDP's step
+// frame fetches again on.
 
 #include "src/isa/program_store.h"
 
@@ -60,7 +60,6 @@ TEST_F(ProgramStoreTest, FetchFaultsAfterTheSegmentObjectIsFreed) {
   ASSERT_TRUE(machine_.table().Free(ad.value().index()).ok());
   store_.Forget(ad.value().index());
   EXPECT_EQ(store_.Fetch(ad.value()).fault(), Fault::kInvalidAccess);
-  EXPECT_EQ(store_.Find(ad.value().index()), nullptr);
 }
 
 TEST_F(ProgramStoreTest, ForgetWithoutFreeLeavesResolutionButDropsContent) {
@@ -102,26 +101,11 @@ TEST_F(ProgramStoreTest, DataEpochBumpsDoNotAffectFetch) {
   EXPECT_EQ(fetched.value()->name(), "fetch.epoch");
 }
 
-TEST_F(ProgramStoreTest, VersionBumpsOnRegisterAndSuccessfulForgetOnly) {
-  uint64_t v0 = store_.version();
-  auto ad = store_.Register(MakeProgram("fetch.version"));
-  ASSERT_TRUE(ad.ok());
-  EXPECT_GT(store_.version(), v0);
-
-  uint64_t v1 = store_.version();
-  store_.Forget(9999);  // never registered: no content mutation, no bump
-  EXPECT_EQ(store_.version(), v1);
-
-  store_.Forget(ad.value().index());
-  EXPECT_GT(store_.version(), v1);
-}
-
 // --- Replace: in-place hot-patching (the program-fetch staleness baseline) --------------
 
 TEST_F(ProgramStoreTest, ReplaceSwapsContentAndBumpsBothStalenessKeys) {
   auto ad = store_.Register(MakeProgram("patch.old"));
   ASSERT_TRUE(ad.ok());
-  uint64_t version = store_.version();
   uint32_t epoch = machine_.table().At(ad.value().index()).data_epoch;
 
   ASSERT_TRUE(store_.Replace(ad.value(), MakeProgram("patch.new")).ok());
@@ -130,10 +114,8 @@ TEST_F(ProgramStoreTest, ReplaceSwapsContentAndBumpsBothStalenessKeys) {
   auto fetched = store_.Fetch(ad.value());
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value()->name(), "patch.new");
-  // ...and BOTH cache invalidation keys moved: the store version (xlat program payloads
-  // key on it) and the descriptor's data_epoch (the per-object content witness). Missing
-  // either would let a cached translation serve the old code.
-  EXPECT_GT(store_.version(), version);
+  // ...and the descriptor's data_epoch moved: a step frame that fetched the old code
+  // fetches again on it. Without the bump the frame would keep running the old code.
   EXPECT_GT(machine_.table().At(ad.value().index()).data_epoch, epoch);
 }
 
@@ -149,11 +131,9 @@ TEST_F(ProgramStoreTest, ReplaceFaultsOnAForgottenSegmentWithoutBumpingKeys) {
   auto ad = store_.Register(MakeProgram("patch.forgotten"));
   ASSERT_TRUE(ad.ok());
   store_.Forget(ad.value().index());
-  uint64_t version = store_.version();
   uint32_t epoch = machine_.table().At(ad.value().index()).data_epoch;
   EXPECT_EQ(store_.Replace(ad.value(), MakeProgram("patch.late")).fault(),
             Fault::kNotFound);
-  EXPECT_EQ(store_.version(), version);
   EXPECT_EQ(machine_.table().At(ad.value().index()).data_epoch, epoch);
 }
 
@@ -171,18 +151,6 @@ TEST_F(ProgramStoreTest, ReplaceFiresTheHookButRegisterAndForgetDoNot) {
 
   store_.Forget(ad.value().index());
   EXPECT_EQ(retracted.size(), 1u);
-}
-
-TEST_F(ProgramStoreTest, FindReturnsTheRawProgramWithoutResolution) {
-  auto ad = store_.Register(MakeProgram("fetch.find"));
-  ASSERT_TRUE(ad.ok());
-  const Program* program = store_.Find(ad.value().index());
-  ASSERT_NE(program, nullptr);
-  EXPECT_EQ(program->name(), "fetch.find");
-  // Find consults only the side table: a freed object is invisible to it (callers pair it
-  // with a Resolve, as Kernel::FetchProgram does).
-  ASSERT_TRUE(machine_.table().Free(ad.value().index()).ok());
-  EXPECT_NE(store_.Find(ad.value().index()), nullptr);
 }
 
 }  // namespace

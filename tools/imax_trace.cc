@@ -88,12 +88,12 @@ void Usage() {
                "                  [--span-export FILE]\n");
 }
 
-void PrintXlatStats(const XlatCacheStats& xlat) {
-  std::fprintf(stderr, "xlat cache: %llu hits (%llu misses), %llu program hits (%llu misses)\n",
-               static_cast<unsigned long long>(xlat.hits),
-               static_cast<unsigned long long>(xlat.misses),
-               static_cast<unsigned long long>(xlat.program_hits),
-               static_cast<unsigned long long>(xlat.program_misses));
+// The translation cache's counts and the programs the GDPs' step frames fetched.
+void PrintXlatStats(const Kernel& kernel) {
+  std::fprintf(stderr, "xlat cache: %llu hits (%llu misses), %llu program fetches\n",
+               static_cast<unsigned long long>(kernel.xlat_stats().hits),
+               static_cast<unsigned long long>(kernel.xlat_stats().misses),
+               static_cast<unsigned long long>(kernel.stats().program_fetches));
 }
 
 // quickstart: the README workload — a producer/consumer pair over a bounded port, a domain
@@ -601,7 +601,7 @@ int RunInjectCampaign(const Options& options) {
     }
   }
 
-  PrintXlatStats(result.system->kernel().xlat_stats());
+  PrintXlatStats(result.system->kernel());
 
   // The acceptance bar: every injected fault ends in recovery or policy-driven
   // termination. A panic means a fault escaped both.
@@ -897,6 +897,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintXlatStats(system->kernel().xlat_stats());
+  PrintXlatStats(system->kernel());
   return 0;
 }
