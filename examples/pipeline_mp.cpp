@@ -116,7 +116,7 @@ Cycles RunPipeline(int processors) {
   int delivered = 0;
   bool all_hopped = true;
   while (true) {
-    auto item = kernel.ports().Dequeue(ports[kStages]);
+    auto item = kernel.ReceiveMessage(ports[kStages]);
     if (!item.ok()) {
       break;
     }

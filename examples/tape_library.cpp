@@ -125,7 +125,7 @@ int main() {
 
   // The manager drains its return port (good clients' drives come home).
   while (true) {
-    auto returned = kernel.ports().Dequeue(return_port.value());
+    auto returned = kernel.ReceiveMessage(return_port.value());
     if (!returned.ok()) {
       break;
     }
@@ -148,7 +148,7 @@ int main() {
   system.Run();
 
   while (true) {
-    auto dying = kernel.ports().Dequeue(filter_port.value());
+    auto dying = kernel.ReceiveMessage(filter_port.value());
     if (!dying.ok()) {
       break;
     }

@@ -406,12 +406,9 @@ Status Kernel::RetireProcessor(uint16_t processor_id) {
     ProcessView proc = process_view(victim);
     if (proc.state() == ProcessState::kRunning) {
       proc.set_slice_used(0);
-      Status ready = MakeReady(victim);
-      if (ready.ok()) {
+      if (Wake(victim)) {
         requeued = victim.index();
         ++stats_.retirement_requeues;
-      } else {
-        RaiseFault(proc, ready.fault());
       }
     }
   }
@@ -494,29 +491,11 @@ Status Kernel::PostMessage(const AccessDescriptor& port, const AccessDescriptor&
     // port's receivers block forever.
     effect_graph_.MarkExternalSender(port.index());
   }
-  auto receiver = ports_.PopBlockedReceiver(port);
-  if (receiver.ok()) {
-    ProcessView recv = process_view(receiver.value().process);
-    ContextView recv_ctx(&machine_->addressing(), recv.context());
-    Status stored = machine_->addressing().WriteAd(
-        recv_ctx.ad(), ContextLayout::kSlotAdRegs + receiver.value().dest_adreg, message);
-    if (!stored.ok()) {
-      RaiseFault(recv, stored.fault());
-      return stored;
-    }
-    recv.Increment(ProcessLayout::kOffMessagesReceived, 4);
-    if (machine_->spans().enabled()) {
-      machine_->spans().OnExternalHandoff(receiver.value().process.index(),
-                                          machine_->now());
-    }
-    return MakeReady(receiver.value().process);
-  }
-  Status queued =
-      ports_.Enqueue(port, message, /*sender_priority=*/128, /*sender_deadline=*/0);
-  if (queued.ok()) {
-    machine_->spans().OnExternalSend(ports_.last_enqueue_seq());
-  }
-  return queued;
+  return Deliver(port, message, /*sender=*/nullptr, kTraceNoProcessor);
+}
+
+Result<AccessDescriptor> Kernel::ReceiveMessage(const AccessDescriptor& port) {
+  return Take(port, /*receiver=*/nullptr, /*ctx=*/nullptr, /*dest_adreg=*/0);
 }
 
 void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
@@ -573,17 +552,19 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
   ScheduleStep(done, rec.id);
 }
 
-void Kernel::Requeue(const AccessDescriptor& process) {
+bool Kernel::Wake(const AccessDescriptor& process) {
   Status ready = MakeReady(process);
   if (!ready.ok()) {
     ProcessView proc = process_view(process);
     RaiseFault(proc, ready.fault());
   }
+  return ready.ok();
 }
 
 bool Kernel::Dispatchable(const AccessDescriptor& ad) const {
   auto resolved = machine_->table().Resolve(ad);
-  if (!resolved.ok() || resolved.value()->type != SystemType::kProcess ||
+  if (!resolved.ok() || resolved.value()->quarantined ||
+      resolved.value()->type != SystemType::kProcess ||
       !ad.HasRights(rights::kRead | rights::kWrite)) {
     return false;
   }
@@ -705,6 +686,12 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     frame = StepFrame{};
     frame.proc = ProcessView(&au, rec.current, kPin);
     frame.processor = ObjectView(&au, rec.object, kPin);
+    if (!frame.proc.PinHolds()) {
+      // Quarantined since it was bound: its state can no longer be read, so it never runs
+      // again (the patrol has reported it). Drop it and look for other work.
+      ScheduleFetch(machine_->now(), processor_id);
+      return false;
+    }
   }
   ProcessView& proc = frame.proc;
 
@@ -819,7 +806,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
         ++stats_.time_slice_ends;
         machine_->trace().Emit(TraceEventKind::kPreempt, done, rec.id, rec.current.index());
         proc.set_slice_used(0);
-        machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
+        machine_->events().ScheduleAt(done, [this, process = rec.current] { Wake(process); });
         ScheduleFetch(done, processor_id);
       } else {
         *next = done;
@@ -829,7 +816,7 @@ bool Kernel::StepInstruction(uint16_t processor_id, StepFrame& frame, Cycles* ne
     }
     case StepEffect::Kind::kYield: {
       proc.set_slice_used(0);
-      machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
+      machine_->events().ScheduleAt(done, [this, process = rec.current] { Wake(process); });
       ScheduleFetch(done, processor_id);
       break;
     }
@@ -1261,55 +1248,12 @@ Result<Kernel::StepEffect> Kernel::DoSend(uint16_t cpu, ProcessView& proc,
   effect.compute = cycles::kSend;
   effect.bus = cycles::kBusSend;
 
-  // A receiver already waits: hand the message straight over (the fast path of the hardware
-  // port algorithms).
-  auto receiver = ports_.PopBlockedReceiver(port_ad);
-  if (receiver.ok()) {
-    ProcessView recv = process_view(receiver.value().process);
-    ContextView recv_ctx(&machine_->addressing(), recv.context());
-    Status stored = au.WriteAd(recv_ctx.ad(),
-                               ContextLayout::kSlotAdRegs + receiver.value().dest_adreg,
-                               message);
-    if (!stored.ok()) {
-      // The *receive* fails its level check; the receiver faults, the sender is unaffected
-      // (its message was consumed by the faulting receive).
-      RaiseFault(recv, stored.fault());
-      proc.Increment(ProcessLayout::kOffMessagesSent, 4);
-      return effect;
-    }
-    recv.Increment(ProcessLayout::kOffMessagesReceived, 4);
-    proc.Increment(ProcessLayout::kOffMessagesSent, 4);
-    if (race_sanitizer_ != nullptr) {
-      race_sanitizer_->OnHandoff(proc.ad().index(), receiver.value().process.index());
-    }
-    if (machine_->spans().enabled()) {
-      machine_->spans().OnHandoff(proc.ad().index(), receiver.value().process.index(),
-                                  machine_->now());
-    }
-    // The message never touches the queue on this path, so Enqueue/Dequeue cannot trace it;
-    // emit the transfer pair here (depth 0: a handoff implies an empty queue).
-    if (machine_->trace().enabled()) {
-      machine_->trace().Emit(TraceEventKind::kSend, machine_->now(), cpu, proc.ad().index(),
-                             port_ad.index(), 0, message.index());
-      machine_->trace().Emit(TraceEventKind::kReceive, machine_->now(), kTraceNoProcessor,
-                             receiver.value().process.index(), port_ad.index(), 0,
-                             message.index());
-    }
-    IMAX_RETURN_IF_FAULT(MakeReady(receiver.value().process));
+  Status sent = Deliver(port_ad, message, &proc, cpu);
+  if (sent.ok()) {
     return effect;
   }
-
-  Status queued = ports_.Enqueue(port_ad, message, proc.priority(), proc.deadline());
-  if (queued.ok()) {
-    proc.Increment(ProcessLayout::kOffMessagesSent, 4);
-    if (race_sanitizer_ != nullptr) {
-      race_sanitizer_->OnSend(proc.ad().index(), ports_.last_enqueue_seq());
-    }
-    machine_->spans().OnSend(proc.ad().index(), ports_.last_enqueue_seq(), machine_->now());
-    return effect;
-  }
-  if (queued.fault() != Fault::kQueueFull) {
-    return queued.fault();  // protection fault (e.g. level violation) — sender faults
+  if (sent.fault() != Fault::kQueueFull) {
+    return sent.fault();  // protection fault (e.g. level violation) — sender faults
   }
   if (!can_block) {
     return Fault::kQueueFull;
@@ -1317,19 +1261,7 @@ Result<Kernel::StepEffect> Kernel::DoSend(uint16_t cpu, ProcessView& proc,
   // Port full: the sender blocks. "If the message queue of the port is full then the calling
   // process will block until a message slot becomes available."
   IMAX_RETURN_IF_FAULT(ports_.PushBlockedSender(port_ad, BlockedSender{proc.ad(), message}));
-  proc.set_state(ProcessState::kBlocked);
-  proc.bump_block_epoch();
-  block_waits_[proc.ad().index()] =
-      BlockWait{machine_->now(), port_ad.index(), /*is_send=*/true};
-  if (machine_->trace().enabled()) {
-    auto depth = ports_.QueuedCount(port_ad);
-    machine_->trace().Emit(TraceEventKind::kBlockSend, machine_->now(), cpu,
-                           proc.ad().index(), port_ad.index(),
-                           depth.ok() ? depth.value() : 0);
-  }
-  effect.kind = StepEffect::Kind::kBlocked;
-  effect.compute += cycles::kBlockOnPort;
-  return effect;
+  return Block(cpu, proc, port_ad, /*is_send=*/true, effect);
 }
 
 Result<Kernel::StepEffect> Kernel::DoReceive(uint16_t cpu, ProcessView& proc, ContextView& ctx,
@@ -1344,34 +1276,8 @@ Result<Kernel::StepEffect> Kernel::DoReceive(uint16_t cpu, ProcessView& proc, Co
   effect.compute = cycles::kReceive;
   effect.bus = cycles::kBusReceive;
 
-  auto message = ports_.Dequeue(port_ad);
+  auto message = Take(port_ad, &proc, &ctx, dest_adreg);
   if (message.ok()) {
-    ctx.set_ad_reg(dest_adreg, message.value());
-    proc.Increment(ProcessLayout::kOffMessagesReceived, 4);
-    if (race_sanitizer_ != nullptr) {
-      race_sanitizer_->OnReceive(proc.ad().index(), ports_.last_dequeue_seq());
-    }
-    machine_->spans().OnReceive(proc.ad().index(), ports_.last_dequeue_seq(),
-                                machine_->now());
-    // A slot freed up: admit one blocked sender.
-    auto sender = ports_.PopBlockedSender(port_ad);
-    if (sender.ok()) {
-      ProcessView sending = process_view(sender.value().process);
-      Status queued = ports_.Enqueue(port_ad, sender.value().message, sending.priority(),
-                                     sending.deadline());
-      if (queued.ok()) {
-        sending.Increment(ProcessLayout::kOffMessagesSent, 4);
-        if (race_sanitizer_ != nullptr) {
-          race_sanitizer_->OnSend(sending.ad().index(), ports_.last_enqueue_seq());
-        }
-        machine_->spans().OnSend(sending.ad().index(), ports_.last_enqueue_seq(),
-                                 machine_->now());
-        IMAX_RETURN_IF_FAULT(MakeReady(sender.value().process));
-      } else {
-        // The deferred send hit a protection fault: it is the sender's fault to take.
-        RaiseFault(sending, queued.fault());
-      }
-    }
     return effect;
   }
   if (message.fault() != Fault::kQueueEmpty) {
@@ -1383,16 +1289,116 @@ Result<Kernel::StepEffect> Kernel::DoReceive(uint16_t cpu, ProcessView& proc, Co
   // "If no message is available the process will block until a message becomes available."
   IMAX_RETURN_IF_FAULT(
       ports_.PushBlockedReceiver(port_ad, BlockedReceiver{proc.ad(), dest_adreg}));
+  return Block(cpu, proc, port_ad, /*is_send=*/false, effect);
+}
+
+Status Kernel::Deliver(const AccessDescriptor& port, const AccessDescriptor& message,
+                       ProcessView* sender, uint16_t cpu) {
+  // A receiver already waits: hand the message straight over (the fast path of the hardware
+  // port algorithms).
+  auto receiver = ports_.PopBlockedReceiver(port);
+  if (receiver.ok()) {
+    const AccessDescriptor woken = receiver.value().process;
+    ProcessView recv = process_view(woken);
+    ContextView recv_ctx(&machine_->addressing(), recv.context());
+    Status stored = machine_->addressing().WriteAd(
+        recv_ctx.ad(), ContextLayout::kSlotAdRegs + receiver.value().dest_adreg, message);
+    if (!stored.ok()) {
+      // The *receive* fails its level check: the receiver takes the fault, and the send is
+      // done (the faulting receive consumed the message).
+      RaiseFault(recv, stored.fault());
+      if (sender != nullptr) {
+        sender->Increment(ProcessLayout::kOffMessagesSent, 4);
+      }
+      return Status::Ok();
+    }
+    recv.Increment(ProcessLayout::kOffMessagesReceived, 4);
+    if (sender == nullptr) {
+      machine_->spans().OnExternalHandoff(woken.index(), machine_->now());
+    } else {
+      sender->Increment(ProcessLayout::kOffMessagesSent, 4);
+      if (race_sanitizer_ != nullptr) {
+        race_sanitizer_->OnHandoff(sender->ad().index(), woken.index());
+      }
+      if (machine_->spans().enabled()) {
+        machine_->spans().OnHandoff(sender->ad().index(), woken.index(), machine_->now());
+      }
+      // The message never touches the queue on this path, so Enqueue/Dequeue cannot trace
+      // it; emit the transfer pair here (depth 0: a handoff implies an empty queue).
+      if (machine_->trace().enabled()) {
+        machine_->trace().Emit(TraceEventKind::kSend, machine_->now(), cpu,
+                               sender->ad().index(), port.index(), 0, message.index());
+        machine_->trace().Emit(TraceEventKind::kReceive, machine_->now(), kTraceNoProcessor,
+                               woken.index(), port.index(), 0, message.index());
+      }
+    }
+    Wake(woken);
+    return Status::Ok();
+  }
+
+  IMAX_RETURN_IF_FAULT(ports_.Enqueue(port, message,
+                                      sender != nullptr ? sender->priority() : 128,
+                                      sender != nullptr ? sender->deadline() : 0));
+  if (sender == nullptr) {
+    machine_->spans().OnExternalSend(ports_.last_enqueue_seq());
+    return Status::Ok();
+  }
+  sender->Increment(ProcessLayout::kOffMessagesSent, 4);
+  if (race_sanitizer_ != nullptr) {
+    race_sanitizer_->OnSend(sender->ad().index(), ports_.last_enqueue_seq());
+  }
+  machine_->spans().OnSend(sender->ad().index(), ports_.last_enqueue_seq(), machine_->now());
+  return Status::Ok();
+}
+
+Result<AccessDescriptor> Kernel::Take(const AccessDescriptor& port, ProcessView* receiver,
+                                      ContextView* ctx, uint8_t dest_adreg) {
+  IMAX_ASSIGN_OR_RETURN(AccessDescriptor message, ports_.Dequeue(port));
+  if (receiver != nullptr) {
+    ctx->set_ad_reg(dest_adreg, message);
+    receiver->Increment(ProcessLayout::kOffMessagesReceived, 4);
+    if (race_sanitizer_ != nullptr) {
+      race_sanitizer_->OnReceive(receiver->ad().index(), ports_.last_dequeue_seq());
+    }
+    machine_->spans().OnReceive(receiver->ad().index(), ports_.last_dequeue_seq(),
+                                machine_->now());
+  }
+  // A slot freed up: admit blocked senders, in order, until one's message is queued. A
+  // sender leaves the blocked queue only once its send is done or refused: one that finds
+  // the slot retaken (an earlier refused sender's fault, delivered to this port as its fault
+  // port, took it) stays blocked, first in line.
+  for (auto blocked = ports_.PeekBlockedSender(port); blocked.ok();
+       blocked = ports_.PeekBlockedSender(port)) {
+    ProcessView sending = process_view(blocked.value().process);
+    Status sent = Deliver(port, blocked.value().message, &sending, kTraceNoProcessor);
+    if (sent.fault() == Fault::kQueueFull) {
+      break;
+    }
+    (void)ports_.PopBlockedSender(port);
+    if (sent.ok()) {
+      Wake(blocked.value().process);
+      break;
+    }
+    // The deferred send hit a protection fault: it is the sender's fault to take.
+    RaiseFault(sending, sent.fault());
+  }
+  return message;
+}
+
+Kernel::StepEffect Kernel::Block(uint16_t cpu, ProcessView& proc,
+                                 const AccessDescriptor& port_ad, bool is_send,
+                                 StepEffect effect) {
   proc.set_state(ProcessState::kBlocked);
   proc.bump_block_epoch();
-  block_waits_[proc.ad().index()] =
-      BlockWait{machine_->now(), port_ad.index(), /*is_send=*/false};
-  machine_->spans().OnBlockReceive(proc.ad().index(), machine_->now());
+  block_waits_[proc.ad().index()] = BlockWait{machine_->now(), port_ad.index(), is_send};
+  if (!is_send) {
+    machine_->spans().OnBlockReceive(proc.ad().index(), machine_->now());
+  }
   if (machine_->trace().enabled()) {
     auto depth = ports_.QueuedCount(port_ad);
-    machine_->trace().Emit(TraceEventKind::kBlockReceive, machine_->now(), cpu,
-                           proc.ad().index(), port_ad.index(),
-                           depth.ok() ? depth.value() : 0);
+    machine_->trace().Emit(
+        is_send ? TraceEventKind::kBlockSend : TraceEventKind::kBlockReceive, machine_->now(),
+        cpu, proc.ad().index(), port_ad.index(), depth.ok() ? depth.value() : 0);
   }
   effect.kind = StepEffect::Kind::kBlocked;
   effect.compute += cycles::kBlockOnPort;

@@ -192,9 +192,12 @@ class Kernel {
   // GDPs still participating in dispatching.
   int active_processor_count() const;
 
-  // Sends `message` to `port` from outside the simulation (boot code, tests). Never blocks:
-  // faults with kQueueFull instead.
+  // Host code's send and receive (boot code, devices, tests): the kernel's one send and one
+  // receive, as the instructions use them, but never blocking. PostMessage faults with
+  // kQueueFull or the port's protection fault when the message was neither handed over nor
+  // queued; ReceiveMessage faults with kQueueEmpty.
   Status PostMessage(const AccessDescriptor& port, const AccessDescriptor& message);
+  Result<AccessDescriptor> ReceiveMessage(const AccessDescriptor& port);
 
   // --- Running ---
 
@@ -302,8 +305,13 @@ class Kernel {
     return ProcessView(&machine_->addressing(), process);
   }
   // Makes a ready process runnable: direct handoff to an idle processor, else queue at its
-  // dispatching port.
+  // dispatching port. Host APIs that return its Status call it; wakers use Wake.
   Status MakeReady(const AccessDescriptor& process);
+  // The one wake-up rule, after a transfer, a slice end, a yield, a GDP retirement or a
+  // scheduler's admission: MakeReady, whose fault (user code can point its dispatch-port slot
+  // at a non-port, or the port can be full) the woken process takes, never its waker. True
+  // when it is back in the mix.
+  bool Wake(const AccessDescriptor& process);
 
  private:
   struct ProcessorRec {
@@ -364,18 +372,14 @@ class Kernel {
   // Raises `fault` on the process and has the processor look for other work after the
   // fault-recovery charge.
   void FaultAndFetch(uint16_t processor_id, ProcessView& proc, Fault fault);
-  // Puts a process that ended its time slice or yielded back in the dispatching mix. User
-  // code holding its own process AD can point its dispatch-port slot at a non-port (or a
-  // port can be full); the fault MakeReady returns is then raised on the process.
-  void Requeue(const AccessDescriptor& process);
   // Tries to bind the next ready process; goes idle if none.
   void ProcessorFetch(uint16_t processor_id);
   // True when an AD dequeued from a dispatching port names a process BindProcess can bind:
-  // it resolves to a process object in the ready state, and carries the read and write
-  // rights BindProcess uses. Anything else is skipped: a stale AD (a queued local-lifetime
-  // process whose ancestral SRO died), and whatever a process holding its own process AD
-  // sent to its dispatching port by hand, such as a non-process object or itself while
-  // running.
+  // it resolves to an unquarantined process object in the ready state, and carries the read
+  // and write rights BindProcess uses. Anything else is skipped: a stale AD (a queued
+  // local-lifetime process whose ancestral SRO died), a quarantined process (its state can
+  // no longer be read), and whatever a process holding its own process AD sent to its
+  // dispatching port by hand, such as a non-process object or itself while running.
   bool Dispatchable(const AccessDescriptor& ad) const;
   // Schedule the processor's step or fetch as a processor event, whose argument is the
   // processor id shifted left one bit, plus one for a fetch (the handler the constructor
@@ -399,6 +403,26 @@ class Kernel {
   Result<StepEffect> DoReceive(uint16_t cpu, ProcessView& proc, ContextView& ctx,
                                uint8_t dest_adreg, const AccessDescriptor& port_ad,
                                bool can_block);
+
+  // The one send: hands `message` to the first process blocked receiving at `port`, which
+  // wakes, or else queues it. `sender` runs on GDP `cpu`, or is null for host code, which
+  // queues at priority 128, deadline 0 and is seen only by the span tracer (its handoff is
+  // untraced). A receiver whose register store faults takes the fault, and the send is done.
+  // Faults with kQueueFull or the port's protection fault when the message was neither
+  // handed over nor queued.
+  Status Deliver(const AccessDescriptor& port, const AccessDescriptor& message,
+                 ProcessView* sender, uint16_t cpu);
+  // The one receive: dequeues the next message at `port` into AD register `dest_adreg` of
+  // `ctx` for `receiver` (both null for host code), then admits the port's blocked senders
+  // in order until one's message is queued; a sender whose message the port refuses takes
+  // that fault. A sender leaves the blocked queue only once its send is done or refused.
+  // Faults with kQueueEmpty when nothing is queued.
+  Result<AccessDescriptor> Take(const AccessDescriptor& port, ProcessView* receiver,
+                                ContextView* ctx, uint8_t dest_adreg);
+  // The blocking tail of DoSend and DoReceive: marks the process blocked, bumps its epoch,
+  // opens its port wait and emits the trace event. Returns `effect` plus the blocking charge.
+  StepEffect Block(uint16_t cpu, ProcessView& proc, const AccessDescriptor& port_ad,
+                   bool is_send, StepEffect effect);
 
   // Call/return machinery.
   Result<StepEffect> DoCall(uint16_t cpu, ProcessView& proc, ContextView& ctx,
@@ -480,9 +504,9 @@ class Kernel {
   std::map<ObjectIndex, std::set<uint32_t>> demotable_sites_;  // segment -> demotable pcs
 
   // Observability bookkeeping (src/obs): open port waits keyed by process index and open
-  // domain-call residences keyed by callee context index. Closed in MakeReady / DoReturn;
-  // reaped on fault and termination so a reused object index can never pair a stale start
-  // with a fresh end.
+  // domain-call residences keyed by callee context index. Opened in Block / DoCall, closed in
+  // MakeReady / DoReturn; reaped on fault and termination so a reused object index can never
+  // pair a stale start with a fresh end.
   struct BlockWait {
     Cycles start = 0;
     ObjectIndex port = kInvalidObjectIndex;

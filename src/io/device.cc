@@ -127,7 +127,7 @@ Result<IoOutcome> IoClient::Execute(const AccessDescriptor& device_port,
                                     const AccessDescriptor& request) {
   IMAX_RETURN_IF_FAULT(kernel_->PostMessage(device_port, request));
   kernel_->Run();  // let the server process the request in virtual time
-  IMAX_ASSIGN_OR_RETURN(AccessDescriptor reply, kernel_->ports().Dequeue(reply_port_));
+  IMAX_ASSIGN_OR_RETURN(AccessDescriptor reply, kernel_->ReceiveMessage(reply_port_));
   if (!reply.SameObject(request)) {
     return Fault::kWrongState;
   }

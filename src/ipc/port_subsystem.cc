@@ -154,6 +154,14 @@ Result<BlockedSender> PortSubsystem::PopBlockedSender(const AccessDescriptor& po
   return sender;
 }
 
+Result<BlockedSender> PortSubsystem::PeekBlockedSender(const AccessDescriptor& port_ad) const {
+  IMAX_ASSIGN_OR_RETURN(const PortShadow* shadow, ResolveShadow(port_ad));
+  if (shadow->blocked_senders.empty()) {
+    return Fault::kQueueEmpty;
+  }
+  return shadow->blocked_senders.front();
+}
+
 Status PortSubsystem::PushBlockedReceiver(const AccessDescriptor& port_ad,
                                           const BlockedReceiver& receiver) {
   IMAX_ASSIGN_OR_RETURN(PortShadow * shadow, ResolveShadow(port_ad));
@@ -191,11 +199,6 @@ bool PortSubsystem::HasBlockedReceiver(const AccessDescriptor& port_ad) const {
   return shadow.ok() && !shadow.value()->blocked_receivers.empty();
 }
 
-bool PortSubsystem::HasBlockedSender(const AccessDescriptor& port_ad) const {
-  auto shadow = ResolveShadow(port_ad);
-  return shadow.ok() && !shadow.value()->blocked_senders.empty();
-}
-
 void PortSubsystem::PushWaitingProcessor(const AccessDescriptor& port_ad,
                                          uint16_t processor_id) {
   auto shadow = ResolveShadow(port_ad);
@@ -229,11 +232,6 @@ Status PortSubsystem::RemoveWaitingProcessor(const AccessDescriptor& port_ad,
 Result<uint16_t> PortSubsystem::QueuedCount(const AccessDescriptor& port_ad) const {
   IMAX_ASSIGN_OR_RETURN(const PortShadow* shadow, ResolveShadow(port_ad));
   return static_cast<uint16_t>(shadow->queue.size());
-}
-
-Result<uint16_t> PortSubsystem::Capacity(const AccessDescriptor& port_ad) const {
-  IMAX_ASSIGN_OR_RETURN(const PortShadow* shadow, ResolveShadow(port_ad));
-  return static_cast<uint16_t>(shadow->queue.size() + shadow->free_slots.size());
 }
 
 void PortSubsystem::AppendShadowRoots(std::vector<AccessDescriptor>* roots) const {

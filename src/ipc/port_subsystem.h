@@ -66,8 +66,11 @@ class PortSubsystem {
   Result<AccessDescriptor> CreatePort(const AccessDescriptor& sro_ad, uint16_t message_count,
                                       QueueDiscipline discipline);
 
-  // Queue operations. Ordering keys (sender priority / deadline) are supplied by the caller,
-  // read from the sending process object.
+  // The raw queue: Enqueue and Dequeue wake no one (no handoff to a blocked receiver, no
+  // admission of a blocked sender). Messages go through the kernel's one send and one
+  // receive (Kernel::Deliver, Kernel::Take); the dispatcher, micro-benchmarks and post-run
+  // inspections call these directly. Ordering keys (sender priority / deadline) are supplied
+  // by the caller, read from the sending process object.
   // Enqueue faults with kQueueFull when no slot is free, and propagates protection faults
   // (notably kLevelViolation) from the access-part store. `privileged` selects the microcode
   // store path: the hardware dispatching algorithm queues *processes of any level* at
@@ -82,6 +85,8 @@ class PortSubsystem {
   // Blocked-process queues (FIFO).
   Status PushBlockedSender(const AccessDescriptor& port_ad, const BlockedSender& sender);
   Result<BlockedSender> PopBlockedSender(const AccessDescriptor& port_ad);
+  // The sender PopBlockedSender would pop next, left in place.
+  Result<BlockedSender> PeekBlockedSender(const AccessDescriptor& port_ad) const;
   Status PushBlockedReceiver(const AccessDescriptor& port_ad, const BlockedReceiver& receiver);
   Result<BlockedReceiver> PopBlockedReceiver(const AccessDescriptor& port_ad);
   // Removes a specific process from the port's blocked-receiver queue (timed receive whose
@@ -90,7 +95,6 @@ class PortSubsystem {
   Status RemoveBlockedReceiver(const AccessDescriptor& port_ad,
                                const AccessDescriptor& process);
   bool HasBlockedReceiver(const AccessDescriptor& port_ad) const;
-  bool HasBlockedSender(const AccessDescriptor& port_ad) const;
 
   // Idle-processor queue (dispatching ports only).
   void PushWaitingProcessor(const AccessDescriptor& port_ad, uint16_t processor_id);
@@ -100,7 +104,6 @@ class PortSubsystem {
 
   // Queue inspection.
   Result<uint16_t> QueuedCount(const AccessDescriptor& port_ad) const;
-  Result<uint16_t> Capacity(const AccessDescriptor& port_ad) const;
 
   // GC support: every AD held only in shadow state (blocked senders' processes and messages,
   // blocked receivers' processes) is a root.

@@ -49,8 +49,6 @@ struct FaultServiceStats {
   uint64_t budget_exhausted = 0;
 };
 
-class MetricsRegistry;
-
 class FaultService {
  public:
   FaultService(Kernel* kernel, FaultPolicy policy)
@@ -66,10 +64,6 @@ class FaultService {
   // (ProcessOptions::fault_port). `escalation_port` receives kDeliver-class processes
   // (null = treat kDeliver as kTerminate).
   Result<AccessDescriptor> Spawn(const AccessDescriptor& escalation_port = {});
-
-  // Exposes stats() through a registry group (the System constructor cannot: the fault
-  // service is configured by selection, à la carte).
-  void RegisterMetrics(MetricsRegistry* registry, const char* group = "fault_service");
 
   const FaultServiceStats& stats() const { return stats_; }
 

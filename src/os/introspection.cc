@@ -44,10 +44,6 @@ SystemReport Introspection::Report() const {
     report.has_gc = true;
     report.gc = gc_->stats();
   }
-  if (scheduler_ != nullptr) {
-    report.has_scheduler = true;
-    report.scheduler = *scheduler_;
-  }
 
   for (int i = 0; i < kernel_->processor_count(); ++i) {
     ObjectView view(&kernel_->machine().addressing(), kernel_->processor_object(i));
@@ -129,12 +125,6 @@ std::string Introspection::Format(const SystemReport& report) {
                   static_cast<unsigned long long>(report.gc.objects_reclaimed),
                   static_cast<unsigned long long>(report.gc.bytes_reclaimed),
                   static_cast<unsigned long long>(report.gc.objects_finalized));
-    out += line;
-  }
-  if (report.has_scheduler) {
-    std::snprintf(line, sizeof(line), "  scheduler: %llu admitted, %llu adjusted\n",
-                  static_cast<unsigned long long>(report.scheduler.admitted),
-                  static_cast<unsigned long long>(report.scheduler.adjusted));
     out += line;
   }
   return out;

@@ -17,7 +17,6 @@
 
 #include "src/exec/kernel.h"
 #include "src/gc/collector.h"
-#include "src/os/schedulers.h"
 
 namespace imax432 {
 
@@ -50,22 +49,19 @@ struct SystemReport {
   KernelStats kernel;
   MemoryStats memory;
   PortStats ports;
-  // Optional sections, filled when the corresponding package is attached to the monitor.
+  // Optional section, filled when a collector is attached to the monitor.
   bool has_gc = false;
   GcStats gc;
-  bool has_scheduler = false;
-  SchedulerStats scheduler;
 };
 
 class Introspection {
  public:
   explicit Introspection(Kernel* kernel) : kernel_(kernel) {}
 
-  // The kernel does not know which optional packages the system assembled on top of it;
-  // attaching them here adds their counters to subsequent Report() calls. Pointers must
+  // The kernel does not know whether the system assembled a collector on top of it;
+  // attaching one here adds its counters to subsequent Report() calls. The pointer must
   // outlive the monitor.
   void AttachGc(const GarbageCollector* gc) { gc_ = gc; }
-  void AttachScheduler(const SchedulerStats* scheduler) { scheduler_ = scheduler; }
 
   ObjectCensus TakeCensus() const;
   SystemReport Report() const;
@@ -76,7 +72,6 @@ class Introspection {
  private:
   Kernel* kernel_;
   const GarbageCollector* gc_ = nullptr;
-  const SchedulerStats* scheduler_ = nullptr;
 };
 
 }  // namespace imax432

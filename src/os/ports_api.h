@@ -53,14 +53,6 @@ class UntypedPorts {
     return Port{ad};
   }
 
-  // Create from a specific SRO (local-lifetime ports for task groups).
-  Result<Port> CreateFrom(const AccessDescriptor& sro, uint16_t message_count,
-                          QueueDiscipline discipline = QueueDiscipline::kFifo) {
-    IMAX_ASSIGN_OR_RETURN(AccessDescriptor ad,
-                          kernel_->ports().CreatePort(sro, message_count, discipline));
-    return Port{ad};
-  }
-
   // procedure Send(prt, msg) / procedure Receive(prt, msg: out) — the inline expansions.
   // These emit the single hardware instruction into a program under construction.
   static Assembler& EmitSend(Assembler& a, uint8_t port_adreg, uint8_t msg_adreg) {
@@ -70,11 +62,13 @@ class UntypedPorts {
     return a.Receive(dst_adreg, port_adreg);
   }
 
-  // Host-side conveniences for boot code and tests (outside virtual time).
+  // Host-side conveniences for boot code and tests (outside virtual time). They behave as
+  // the instructions do (a Receive admits a blocked sender) but never block: they fault
+  // with kQueueFull and kQueueEmpty instead.
   Status Send(const Port& port, const AnyAccess& message) {
     return kernel_->PostMessage(port.ad, message);
   }
-  Result<AnyAccess> Receive(const Port& port) { return kernel_->ports().Dequeue(port.ad); }
+  Result<AnyAccess> Receive(const Port& port) { return kernel_->ReceiveMessage(port.ad); }
 
  private:
   Kernel* kernel_;

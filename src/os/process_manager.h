@@ -51,8 +51,9 @@ class BasicProcessManager {
   Status Stop(const AccessDescriptor& process);
 
   // Admits a process the scheduler has decided to run (schedulers call this after receiving
-  // the process at their scheduler port).
-  Status Admit(const AccessDescriptor& process) { return kernel_->MakeReady(process); }
+  // the process at their scheduler port), by the kernel's wake-up rule: a process that cannot
+  // be made ready takes that fault itself.
+  void Admit(const AccessDescriptor& process) { kernel_->Wake(process); }
 
   // True when the process's stop count is zero (it is in, or eligible for, the mix).
   Result<bool> IsRunnable(const AccessDescriptor& process) const;

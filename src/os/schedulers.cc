@@ -65,7 +65,7 @@ Result<SchedulerInstance> SpawnPassThroughScheduler(Kernel* kernel,
         ProcessView proc = kernel->process_view(process);
         if (AwaitingAdmission(proc)) {
           ++stats->admitted;
-          (void)manager->Admit(process);
+          manager->Admit(process);
         }
         // Processes arriving because they *left* the mix need no action under this policy.
       });
@@ -89,7 +89,7 @@ Result<SchedulerInstance> SpawnFairShareScheduler(Kernel* kernel, BasicProcessMa
         proc.set_priority(priority);
         ++stats->adjusted;
         ++stats->admitted;
-        (void)manager->Admit(process);
+        manager->Admit(process);
       });
 }
 
@@ -125,7 +125,7 @@ void BatchScheduler::TryAdmit() {
     }
     ++running_;
     ++stats_.admitted;
-    (void)manager_->Admit(process);
+    manager_->Admit(process);
   }
 }
 

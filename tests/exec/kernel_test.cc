@@ -1260,13 +1260,15 @@ TEST_F(KernelTest, ReturningToADestroyedCallerFaults) {
 }
 
 // A process whose carrier holds its own process AD (read+write from CreateProcess) and a
-// generic object. Its program loads them into a2 and a3, then runs `body`.
+// generic object, and `port` when one is given. Its program loads them into a2, a3 and a4,
+// then runs `body`.
 AccessDescriptor SpawnHoldingItsProcess(Machine& machine, BasicMemoryManager& memory,
                                         Kernel& kernel,
                                         const std::function<void(Assembler&)>& body,
-                                        ProcessOptions options = {}) {
-  auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
-                                     rights::kRead | rights::kWrite);
+                                        ProcessOptions options = {},
+                                        const AccessDescriptor& port = {}) {
+  auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8,
+                                     port.is_null() ? 2 : 3, rights::kRead | rights::kWrite);
   auto bogus = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 0,
                                    rights::kRead | rights::kWrite);
   EXPECT_TRUE(carrier.ok() && bogus.ok());
@@ -1274,6 +1276,10 @@ AccessDescriptor SpawnHoldingItsProcess(Machine& machine, BasicMemoryManager& me
   a.MoveAd(1, kArgAdReg)
       .LoadAd(2, 1, 0)   // a2 = this process
       .LoadAd(3, 1, 1);  // a3 = a generic object
+  if (!port.is_null()) {
+    a.LoadAd(4, 1, 2);  // a4 = the port
+    EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 2, port).ok());
+  }
   body(a);
   options.initial_arg = carrier.value();
   auto process = kernel.CreateProcess(a.Build(), options);
@@ -1417,6 +1423,246 @@ TEST_F(KernelTest, ARunningProcessAtItsDispatchPortIsNotBoundAgain) {
   EXPECT_EQ(View(process).state(), ProcessState::kTerminated);
   EXPECT_EQ(kernel_.stats().dispatches, 1u);
   EXPECT_EQ(kernel_.stats().faults_delivered, 0u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
+}
+
+// A process sends twice into a capacity-1 port and blocks on the second send. The host's
+// receive goes through the kernel's one receive, as the receive instruction does: it admits
+// the blocked sender, whose message takes the freed slot, and the sender runs to its end.
+TEST_F(KernelTest, HostReceiveAdmitsABlockedSender) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 1, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  AccessDescriptor sender = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_, [](Assembler& a) { a.Send(4, 3).Send(4, 2).Halt(); }, {},
+      port.value());
+  kernel_.Run();
+  ASSERT_EQ(View(sender).state(), ProcessState::kBlocked);
+
+  UntypedPorts ports(&kernel_);
+  auto received = ports.Receive(Port{port.value()});
+  ASSERT_TRUE(received.ok());
+  kernel_.Run();
+  EXPECT_EQ(View(sender).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(sender).fault_code(), Fault::kNone);
+  EXPECT_EQ(View(sender).Field(ProcessLayout::kOffMessagesSent, 4), 2u);
+  auto queued = kernel_.ports().Dequeue(port.value());
+  ASSERT_TRUE(queued.ok());
+  EXPECT_TRUE(queued.value().SameObject(sender));  // the second message
+}
+
+// R stores a generic object into its own dispatch-port slot and receives; S's send hands
+// it the message. Waking R fails with kTypeMismatch, and R takes that fault: S's send
+// succeeded, and S halts.
+TEST_F(KernelTest, AWokenReceiverTakesItsOwnRequeueFault) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  AccessDescriptor receiver = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_,
+      [](Assembler& a) {
+        a.StoreAd(2, 3, ProcessLayout::kSlotDispatchPort).Receive(5, 4).Halt();
+      },
+      {}, port.value());
+  AccessDescriptor sender = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_, [](Assembler& a) { a.Send(4, 3).Halt(); }, {},
+      port.value());
+  kernel_.Run();
+  EXPECT_EQ(View(receiver).state(), ProcessState::kTerminated);  // no fault port
+  EXPECT_EQ(View(receiver).fault_code(), Fault::kTypeMismatch);
+  EXPECT_EQ(View(receiver).Field(ProcessLayout::kOffMessagesReceived, 4), 1u);
+  EXPECT_EQ(View(sender).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(sender).fault_code(), Fault::kNone);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 2u);
+}
+
+// The same receiver, with the host posting the message: the post succeeds, and the
+// receiver takes the fault of waking it.
+TEST_F(KernelTest, PostMessageToAReceiverThatCannotWakeSucceeds) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  AccessDescriptor receiver = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_,
+      [](Assembler& a) {
+        a.StoreAd(2, 3, ProcessLayout::kSlotDispatchPort).Receive(5, 4).Halt();
+      },
+      {}, port.value());
+  kernel_.Run();
+  ASSERT_EQ(View(receiver).state(), ProcessState::kBlocked);
+
+  EXPECT_TRUE(kernel_.PostMessage(port.value(), memory_.global_heap()).ok());
+  kernel_.Run();
+  EXPECT_EQ(View(receiver).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(receiver).fault_code(), Fault::kTypeMismatch);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+}
+
+// The mirror image: S stores a generic object into its own dispatch-port slot and blocks
+// sending into a full capacity-1 port. R's receive admits S's message, and waking S fails:
+// S takes that fault, and R's receive, which succeeded, goes on to halt.
+TEST_F(KernelTest, AnAdmittedSenderTakesItsOwnRequeueFault) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 1, QueueDiscipline::kFifo);
+  auto fault_port =
+      kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok() && fault_port.ok());
+  ASSERT_TRUE(kernel_.PostMessage(port.value(), memory_.global_heap()).ok());
+  AccessDescriptor sender = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_,
+      [](Assembler& a) {
+        a.StoreAd(2, 3, ProcessLayout::kSlotDispatchPort).Send(4, 3).Halt();
+      },
+      {}, port.value());
+  kernel_.Run();
+  ASSERT_EQ(View(sender).state(), ProcessState::kBlocked);
+
+  ProcessOptions options;
+  options.fault_port = fault_port.value();
+  AccessDescriptor receiver = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_, [](Assembler& a) { a.Receive(5, 4).Halt(); }, options,
+      port.value());
+  kernel_.Run();
+  EXPECT_EQ(View(receiver).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(receiver).fault_code(), Fault::kNone);
+  EXPECT_EQ(View(receiver).Field(ProcessLayout::kOffMessagesReceived, 4), 1u);
+  EXPECT_EQ(View(sender).state(), ProcessState::kTerminated);  // no fault port
+  EXPECT_EQ(View(sender).fault_code(), Fault::kTypeMismatch);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  EXPECT_EQ(kernel_.ports().QueuedCount(port.value()).value(), 1u);  // S's message
+  EXPECT_EQ(kernel_.ports().QueuedCount(fault_port.value()).value(), 0u);
+}
+
+// The host fills a capacity-1 port. S1 sends an object from a local heap it created, S2 and
+// S3 a global object each, and all three block in that order; S1's fault port is the port
+// itself when `s1_faults_to_the_port`, else it has none. Then R receives twice.
+struct RefusedSenderRun {
+  AccessDescriptor port, s1, s2, s3, receiver;
+};
+RefusedSenderRun RunRefusedSender(Machine& machine, BasicMemoryManager& memory,
+                                  Kernel& kernel, bool s1_faults_to_the_port) {
+  RefusedSenderRun run;
+  auto port = kernel.ports().CreatePort(memory.global_heap(), 1, QueueDiscipline::kFifo);
+  auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 2,
+                                     rights::kRead | rights::kWrite);
+  EXPECT_TRUE(port.ok() && carrier.ok());
+  run.port = port.value();
+  EXPECT_TRUE(kernel.PostMessage(run.port, memory.global_heap()).ok());
+  EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 0, run.port).ok());
+  EXPECT_TRUE(machine.addressing().WriteAd(carrier.value(), 1, memory.global_heap()).ok());
+  ProcessOptions options;
+  options.initial_arg = carrier.value();
+  auto spawn = [&](Assembler& a, const ProcessOptions& spawn_options) {
+    auto process = kernel.CreateProcess(a.Build(), spawn_options);
+    EXPECT_TRUE(process.ok() && kernel.StartProcess(process.value()).ok());
+    return process.value();
+  };
+
+  Assembler local_sender("local-sender");
+  local_sender.MoveAd(1, kArgAdReg)
+      .LoadAd(2, 1, 0)  // a2 = port
+      .LoadAd(3, 1, 1)  // a3 = global heap
+      .CreateSro(4, 3, 1024)
+      .CreateObject(5, 4, 16)
+      .Send(2, 5)
+      .Halt();
+  Assembler global_sender("global-sender");
+  global_sender.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).LoadAd(3, 1, 1).CreateObject(5, 3, 16)
+      .Send(2, 5)
+      .Halt();
+  Assembler receive_twice("receive-twice");
+  receive_twice.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).Receive(4, 2).Receive(5, 2).Halt();
+
+  ProcessOptions s1_options = options;
+  if (s1_faults_to_the_port) {
+    s1_options.fault_port = run.port;
+  }
+  run.s1 = spawn(local_sender, s1_options);
+  run.s2 = spawn(global_sender, options);
+  run.s3 = spawn(global_sender, options);
+  kernel.Run();
+  EXPECT_EQ(kernel.process_view(run.s1).state(), ProcessState::kBlocked);
+  EXPECT_EQ(kernel.process_view(run.s2).state(), ProcessState::kBlocked);
+  EXPECT_EQ(kernel.process_view(run.s3).state(), ProcessState::kBlocked);
+  run.receiver = spawn(receive_twice, options);
+  kernel.Run();
+  return run;
+}
+
+// R's first receive admits S1's message, which the level rule refuses: S1 takes
+// kLevelViolation, and the admission goes on to S2, whose message takes the free slot. R's
+// second receive gets it and admits S3, and S2, S3 and R halt.
+TEST_F(KernelTest, AReceiveAdmitsTheNextSenderAfterARefusedOne) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  RefusedSenderRun run =
+      RunRefusedSender(machine_, memory_, kernel_, /*s1_faults_to_the_port=*/false);
+  EXPECT_EQ(View(run.s1).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(run.s1).fault_code(), Fault::kLevelViolation);
+  EXPECT_EQ(View(run.s2).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(run.s2).fault_code(), Fault::kNone);
+  EXPECT_EQ(View(run.s3).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(run.s3).fault_code(), Fault::kNone);
+  EXPECT_EQ(View(run.receiver).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(run.receiver).Field(ProcessLayout::kOffMessagesReceived, 4), 2u);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 4u);
+}
+
+// The same, with the port as S1's fault port: S1's faulted process AD takes the slot, so the
+// admission stops and S2 stays blocked, first in line and without a fault, until R's second
+// receive (which gets S1) admits it ahead of S3. Each sender's wait counts once.
+TEST_F(KernelTest, AnAdmissionStopsWhenARefusedSendersFaultFillsThePort) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  RefusedSenderRun run =
+      RunRefusedSender(machine_, memory_, kernel_, /*s1_faults_to_the_port=*/true);
+  EXPECT_EQ(View(run.s1).state(), ProcessState::kFaulted);
+  EXPECT_EQ(View(run.s1).fault_code(), Fault::kLevelViolation);
+  EXPECT_EQ(View(run.s2).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(run.s2).fault_code(), Fault::kNone);
+  EXPECT_EQ(View(run.s3).state(), ProcessState::kBlocked);
+  EXPECT_EQ(View(run.receiver).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+  EXPECT_EQ(ObjectView(&machine_.addressing(), run.port).Field(PortLayout::kOffSendBlocks, 4),
+            3u);
+  auto queued = kernel_.ports().Dequeue(run.port);  // S2's message
+  ASSERT_TRUE(queued.ok());
+  EXPECT_FALSE(queued.value().SameObject(run.s1));
+}
+
+// A 200-iteration Compute(1000) loop: two of them on one GDP share it by time slices.
+ProgramRef ComputeLoop() {
+  Assembler a("loop");
+  auto loop = a.NewLabel();
+  a.LoadImm(0, 0).LoadImm(1, 200).Bind(loop).Compute(1000).AddImm(0, 0, 1);
+  a.BranchIfLess(0, 1, loop).Halt();
+  return a.Build();
+}
+
+// Two loops share one GDP. While the first is bound, the second, queued at the dispatching
+// port, is quarantined: its state can no longer be read, so the dispatcher skips it, as it
+// skips a stale AD, and the first loop runs to its end.
+TEST_F(KernelTest, AQuarantinedQueuedProcessIsNotDispatched) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor bound = Spawn(ComputeLoop());
+  AccessDescriptor queued = Spawn(ComputeLoop());
+  kernel_.RunUntil(10);
+  machine_.table().At(queued.index()).quarantined = true;
+  kernel_.Run();
+  EXPECT_EQ(View(bound).state(), ProcessState::kTerminated);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
+}
+
+// The same two loops, with the bound one quarantined: its next step cannot read it, so the
+// GDP drops it and runs the other loop to its end.
+TEST_F(KernelTest, AProcessQuarantinedWhileBoundIsDropped) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor bound = Spawn(ComputeLoop());
+  AccessDescriptor queued = Spawn(ComputeLoop());
+  kernel_.RunUntil(10);
+  machine_.table().At(bound.index()).quarantined = true;
+  kernel_.Run();
+  EXPECT_EQ(View(queued).state(), ProcessState::kTerminated);
   EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
 }
 

@@ -199,6 +199,33 @@ TEST_F(ProcessManagerTest, SchedulerPortMediatesTransitions) {
   EXPECT_EQ(sched_stats.admitted, 1u);
 }
 
+// The scheduler admits a process whose dispatch-port slot holds a generic object. Admission
+// follows the kernel's wake-up rule: the admitted process, not its scheduler, takes the fault
+// of making it ready, instead of being left ready on no queue.
+TEST_F(ProcessManagerTest, AnAdmittedProcessThatCannotBeMadeReadyFaults) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  SchedulerStats sched_stats;
+  auto scheduler = SpawnPassThroughScheduler(&kernel_, &manager_, &sched_stats);
+  ASSERT_TRUE(scheduler.ok());
+
+  ProcessOptions options;
+  options.scheduler_port = scheduler.value().port;
+  auto process = manager_.Create(Spinner(50), options);
+  auto bogus = memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 8, 0,
+                                    rights::kRead | rights::kWrite);
+  ASSERT_TRUE(process.ok() && bogus.ok());
+  ASSERT_TRUE(machine_.addressing()
+                  .WriteAd(process.value(), ProcessLayout::kSlotDispatchPort, bogus.value())
+                  .ok());
+
+  ASSERT_TRUE(manager_.Start(process.value()).ok());
+  kernel_.Run();
+  EXPECT_EQ(sched_stats.admitted, 1u);
+  EXPECT_EQ(StateOf(process.value()), ProcessState::kTerminated);  // no fault port
+  EXPECT_EQ(kernel_.process_view(process.value()).fault_code(), Fault::kTypeMismatch);
+  EXPECT_EQ(kernel_.stats().faults_delivered, 1u);
+}
+
 TEST_F(ProcessManagerTest, FairShareSchedulerDemotesHeavyConsumers) {
   ASSERT_TRUE(kernel_.AddProcessors(1).ok());
   SchedulerStats sched_stats;
