@@ -14,7 +14,10 @@
 #ifndef IMAX432_SRC_ARCH_OBJECT_DESCRIPTOR_H_
 #define IMAX432_SRC_ARCH_OBJECT_DESCRIPTOR_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/arch/access_descriptor.h"
@@ -22,9 +25,42 @@
 
 namespace imax432 {
 
-struct ObjectDescriptor {
+// The four fields a descriptor is live and readable by: allocated at the generation an AD
+// names, not quarantined, resident. They come first, and fill exactly one 8-byte word, so a
+// pinned view (src/proc/layouts.h) checks all four with one load and one compare against
+// the word a live, clean object has at its generation (LiveWord). The word is read from
+// this trivially copyable base, never from ObjectDescriptor itself, which holds a vector.
+struct DescriptorLiveness {
+  // Incremented every time this table entry is freed; ADs minted against older generations
+  // fault with kInvalidAccess on use.
+  uint32_t generation = 0;
   bool allocated = false;
+  // A quarantined object has had its representation rights revoked (the integrity state
+  // below).
+  bool quarantined = false;
+  // Virtual memory state (swapping memory manager only). While swapped_out, the data part
+  // contents live in the backing store at backing_slot and any data access faults with
+  // kSegmentSwapped.
+  bool swapped_out = false;
+  // Always 0, so the word compares whole, with no mask.
+  uint8_t spare = 0;
 
+  // The whole word, in one 8-byte load.
+  uint64_t Word() const { return std::bit_cast<uint64_t>(*this); }
+  // The word of a live, clean (not quarantined, resident) object at `generation`.
+  static constexpr uint64_t LiveWord(uint32_t generation) {
+    DescriptorLiveness live;
+    live.generation = generation;
+    live.allocated = true;
+    return std::bit_cast<uint64_t>(live);
+  }
+};
+
+static_assert(std::is_trivially_copyable_v<DescriptorLiveness>);
+static_assert(sizeof(DescriptorLiveness) == sizeof(uint64_t) &&
+              offsetof(DescriptorLiveness, spare) == sizeof(uint64_t) - 1);
+
+struct ObjectDescriptor : DescriptorLiveness {
   SystemType type = SystemType::kGeneric;
 
   // Lifetime level: 0 = global. The storing rule (no AD to this object may be stored into an
@@ -60,15 +96,8 @@ struct ObjectDescriptor {
   // garbage again is reclaimed silently (the type manager had its chance to disassemble it).
   bool finalized = false;
 
-  // Virtual memory state (swapping memory manager only). While swapped_out, the data part
-  // contents live in the backing store at backing_slot and any data access faults with
-  // kSegmentSwapped.
-  bool swapped_out = false;
+  // Backing-store slot of a swapped_out data part.
   uint32_t backing_slot = 0;
-
-  // Incremented every time this table entry is freed; ADs minted against older generations
-  // fault with kInvalidAccess on use.
-  uint32_t generation = 0;
 
   // Integrity state maintained for the object-table patrol scan. `checksum` seals the
   // descriptor's identity fields (type, level, data_length, access slot count, origin SRO)
@@ -79,7 +108,6 @@ struct ObjectDescriptor {
   // faults with kObjectQuarantined instead of exposing corrupt state.
   uint32_t checksum = 0;
   uint32_t data_epoch = 0;
-  bool quarantined = false;
 
   // Total architectural bytes charged to the origin SRO for this object (data part plus
   // kAdArchBytes per access slot), remembered so reclamation returns exactly what was taken.
@@ -87,6 +115,17 @@ struct ObjectDescriptor {
 
   uint32_t access_count() const { return static_cast<uint32_t>(access.size()); }
 };
+
+// The liveness word stays whole and first whatever a later change does to the other fields.
+// (ObjectDescriptor is not standard-layout, so offsetof on it is only conditionally
+// supported; GCC and Clang support it.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+static_assert(offsetof(ObjectDescriptor, generation) == 0, "liveness word must come first");
+#pragma GCC diagnostic pop
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(ObjectDescriptor) == 80, "the descriptor table's footprint moved");
+#endif
 
 }  // namespace imax432
 

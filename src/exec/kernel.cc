@@ -397,12 +397,12 @@ Status Kernel::RetireProcessor(uint16_t processor_id) {
 
   // Rescue the in-flight process. Execution is synchronous per instruction, so at retirement
   // time the process is at a consistent instruction boundary; any pending ProcessorStep
-  // event no-ops once rec.current is cleared.
+  // event no-ops once rec.current is cleared. A quarantined process is not rescued.
   uint32_t requeued = kTraceNoProcess;
   AccessDescriptor victim = rec.current;
   rec.current = AccessDescriptor();
   processor.SetSlot(ProcessorLayout::kSlotCurrentProcess, AccessDescriptor());
-  if (!victim.is_null() && machine_->table().Resolve(victim).ok()) {
+  if (Readable(victim)) {
     ProcessView proc = process_view(victim);
     if (proc.state() == ProcessState::kRunning) {
       proc.set_slice_used(0);
@@ -561,6 +561,11 @@ bool Kernel::Wake(const AccessDescriptor& process) {
   return ready.ok();
 }
 
+bool Kernel::Readable(const AccessDescriptor& process) const {
+  auto resolved = machine_->table().Resolve(process);
+  return resolved.ok() && !resolved.value()->quarantined;
+}
+
 bool Kernel::Dispatchable(const AccessDescriptor& ad) const {
   auto resolved = machine_->table().Resolve(ad);
   if (!resolved.ok() || resolved.value()->quarantined ||
@@ -638,7 +643,7 @@ Cycles Kernel::ChargeCycles(uint16_t cpu, StepFrame& frame, Cycles compute, Cycl
   }
   Cycles duration = done - start;
   frame.proc.Increment(ProcessLayout::kOffConsumed, 8, duration);
-  frame.proc.set_slice_used(frame.proc.slice_used() + duration);
+  frame.proc.Increment(ProcessLayout::kOffSliceUsed, 8, duration);
   frame.processor.Increment(ProcessorLayout::kOffBusyCycles, 8, duration);
   return done;
 }
@@ -1295,10 +1300,15 @@ Result<Kernel::StepEffect> Kernel::DoReceive(uint16_t cpu, ProcessView& proc, Co
 Status Kernel::Deliver(const AccessDescriptor& port, const AccessDescriptor& message,
                        ProcessView* sender, uint16_t cpu) {
   // A receiver already waits: hand the message straight over (the fast path of the hardware
-  // port algorithms).
-  auto receiver = ports_.PopBlockedReceiver(port);
-  if (receiver.ok()) {
+  // port algorithms). A receiver that is no longer Readable is dropped, and the message goes
+  // to the next one.
+  for (auto receiver = ports_.PopBlockedReceiver(port); receiver.ok();
+       receiver = ports_.PopBlockedReceiver(port)) {
     const AccessDescriptor woken = receiver.value().process;
+    if (!Readable(woken)) {
+      block_waits_.erase(woken.index());
+      continue;
+    }
     ProcessView recv = process_view(woken);
     ContextView recv_ctx(&machine_->addressing(), recv.context());
     Status stored = machine_->addressing().WriteAd(
@@ -1369,6 +1379,12 @@ Result<AccessDescriptor> Kernel::Take(const AccessDescriptor& port, ProcessView*
   // port, took it) stays blocked, first in line.
   for (auto blocked = ports_.PeekBlockedSender(port); blocked.ok();
        blocked = ports_.PeekBlockedSender(port)) {
+    if (!Readable(blocked.value().process)) {
+      // Dropped, with its message, and the next sender is admitted.
+      (void)ports_.PopBlockedSender(port);
+      block_waits_.erase(blocked.value().process.index());
+      continue;
+    }
     ProcessView sending = process_view(blocked.value().process);
     Status sent = Deliver(port, blocked.value().message, &sending, kTraceNoProcessor);
     if (sent.fault() == Fault::kQueueFull) {

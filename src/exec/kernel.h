@@ -381,6 +381,11 @@ class Kernel {
   // no longer be read), and whatever a process holding its own process AD sent to its
   // dispatching port by hand, such as a non-process object or itself while running.
   bool Dispatchable(const AccessDescriptor& ad) const;
+  // False when `process` no longer resolves or is quarantined. Its state can no longer be
+  // read, so it never runs again: a GDP retirement does not rescue it, and a handoff or an
+  // admission drops its blocked record, ending its blocking episode, instead of reading it
+  // through a checked view, which would abort the host.
+  bool Readable(const AccessDescriptor& process) const;
   // Schedule the processor's step or fetch as a processor event, whose argument is the
   // processor id shifted left one bit, plus one for a fetch (the handler the constructor
   // installs decodes it).
@@ -404,18 +409,19 @@ class Kernel {
                                uint8_t dest_adreg, const AccessDescriptor& port_ad,
                                bool can_block);
 
-  // The one send: hands `message` to the first process blocked receiving at `port`, which
-  // wakes, or else queues it. `sender` runs on GDP `cpu`, or is null for host code, which
-  // queues at priority 128, deadline 0 and is seen only by the span tracer (its handoff is
-  // untraced). A receiver whose register store faults takes the fault, and the send is done.
-  // Faults with kQueueFull or the port's protection fault when the message was neither
-  // handed over nor queued.
+  // The one send: hands `message` to the first Readable process blocked receiving at `port`,
+  // which wakes, or else queues it. `sender` runs on GDP `cpu`, or is null for host code,
+  // which queues at priority 128, deadline 0 and is seen only by the span tracer (its
+  // handoff is untraced). A receiver whose register store faults takes the fault, and the
+  // send is done. Faults with kQueueFull or the port's protection fault when the message was
+  // neither handed over nor queued.
   Status Deliver(const AccessDescriptor& port, const AccessDescriptor& message,
                  ProcessView* sender, uint16_t cpu);
   // The one receive: dequeues the next message at `port` into AD register `dest_adreg` of
   // `ctx` for `receiver` (both null for host code), then admits the port's blocked senders
   // in order until one's message is queued; a sender whose message the port refuses takes
-  // that fault. A sender leaves the blocked queue only once its send is done or refused.
+  // that fault, and one that is not Readable is dropped with its message. A sender leaves
+  // the blocked queue only once its send is done, refused or dropped.
   // Faults with kQueueEmpty when nothing is queued.
   Result<AccessDescriptor> Take(const AccessDescriptor& port, ProcessView* receiver,
                                 ContextView* ctx, uint8_t dest_adreg);

@@ -202,12 +202,15 @@ inline constexpr PinTag kPin{};
 // next, for as long as PinHolds() (DESIGN.md §10). Every access still checks liveness and
 // bounds, so touching a pinned view of a destroyed object aborts like any other view; every
 // data write bumps data_epoch as the checked path does; and slot writes still go through
-// WriteAdPrivileged, which shades the moved AD gray. A view that fails validation takes the
-// checked path. The pinned paths are forced inline, so at a call site with a constant width
-// a field access compiles to its checks plus one fixed-width load or store. So are the named
-// accessors the interpreter reads or writes on every instruction (the process's context,
-// stop count and slice used, the context's pc and instruction segment), which would
-// otherwise be left out of line in Kernel::StepInstruction.
+// WriteAdPrivileged, which shades the moved AD gray. The liveness check is one 8-byte load
+// of the descriptor's liveness word and one compare (DescriptorLiveness), and a pinned
+// Increment is one access: one check, one load, one store, one data_epoch bump. A view that
+// fails validation takes the checked path. The pinned paths are forced inline, so at a call
+// site with a constant width a field access compiles to its checks plus one fixed-width
+// load or store. So are the named accessors the interpreter reads or writes on every
+// instruction (the process's context, stop count and slice used, the context's pc and
+// instruction segment), which would otherwise be left out of line in
+// Kernel::StepInstruction.
 class ObjectView {
  public:
   ObjectView() = default;  // a null view, for a frame not yet built
@@ -234,7 +237,16 @@ class ObjectView {
   }
   __attribute__((always_inline)) void Increment(uint32_t offset, uint32_t width,
                                                 uint64_t delta = 1) {
-    SetField(offset, width, Field(offset, width) + delta);
+    if (pinned_ == nullptr) {
+      CheckedSetField(offset, width, CheckedField(offset, width) + delta);
+      return;
+    }
+    uint8_t* field = PinnedData(offset, width);
+    uint64_t value = 0;
+    std::memcpy(&value, field, width);
+    value += delta;
+    std::memcpy(field, &value, width);
+    ++pinned_->data_epoch;
   }
 
   __attribute__((always_inline)) AccessDescriptor Slot(uint32_t slot) const {
@@ -256,12 +268,11 @@ class ObjectView {
 
   // True when the view is pinned and its descriptor still passes the checks the pin made:
   // allocated at the view's generation, not quarantined, resident (the AD's rights cannot
-  // change). Every pinned access requires it; the step frame asks before reusing a view in a
-  // later event.
+  // change). All four are one compare of the descriptor's liveness word. Every pinned access
+  // requires it; the step frame asks before reusing a view in a later event.
   __attribute__((always_inline)) bool PinHolds() const {
-    return pinned_ != nullptr && pinned_->allocated &&
-           pinned_->generation == ad_.generation() && !pinned_->quarantined &&
-           !pinned_->swapped_out;
+    return pinned_ != nullptr &&
+           pinned_->Word() == DescriptorLiveness::LiveWord(ad_.generation());
   }
 
  private:

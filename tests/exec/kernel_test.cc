@@ -971,10 +971,18 @@ TEST(KernelStepFrameTest, AContextSlotReusedBetweenEventsFaultsAsAFreshFrameDoes
 
 // A frame kept across events serves the next event without a rebuild only while its pins
 // hold; whatever breaks a pin between events is caught by the same checks a pinned access
-// makes.
+// makes. The four checks are one compare of the descriptor's liveness word, so each field is
+// broken alone, and two together.
 TEST(KernelStepFrameTest, PinHoldsOnlyWhileThePinChecksPass) {
   Machine machine(SmallConfig());
   BasicMemoryManager memory(&machine);
+  for (int type = 0; type < kNumSystemTypes; ++type) {
+    auto live = memory.CreateObject(memory.global_heap(), static_cast<SystemType>(type), 16,
+                                    1, rights::kRead | rights::kWrite);
+    ASSERT_TRUE(live.ok());
+    EXPECT_TRUE(ObjectView(&machine.addressing(), live.value(), kPin).PinHolds())
+        << SystemTypeName(static_cast<SystemType>(type));
+  }
   auto object = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 16, 1,
                                     rights::kRead | rights::kWrite | rights::kDelete);
   ASSERT_TRUE(object.ok());
@@ -989,7 +997,16 @@ TEST(KernelStepFrameTest, PinHoldsOnlyWhileThePinChecksPass) {
   descriptor.quarantined = false;
   descriptor.swapped_out = true;
   EXPECT_FALSE(pinned.PinHolds());
+  descriptor.quarantined = true;
+  EXPECT_FALSE(pinned.PinHolds());
+  descriptor.quarantined = false;
   descriptor.swapped_out = false;
+  descriptor.allocated = false;
+  EXPECT_FALSE(pinned.PinHolds());
+  descriptor.allocated = true;
+  ++descriptor.generation;  // bumped in place, the slot still allocated
+  EXPECT_FALSE(pinned.PinHolds());
+  --descriptor.generation;
   EXPECT_TRUE(pinned.PinHolds());
 
   ASSERT_TRUE(memory.DestroyObject(object.value()).ok());
@@ -1666,6 +1683,82 @@ TEST_F(KernelTest, AProcessQuarantinedWhileBoundIsDropped) {
   EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
 }
 
+// A loop bound to the only GDP is quarantined, and the GDP retires: the process's state can
+// no longer be read, so retirement does not rescue it.
+TEST_F(KernelTest, RetiringAGdpDoesNotRescueAQuarantinedProcess) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  AccessDescriptor bound = Spawn(ComputeLoop());
+  kernel_.RunUntil(10);
+  ASSERT_EQ(View(bound).state(), ProcessState::kRunning);
+  machine_.table().At(bound.index()).quarantined = true;
+  ASSERT_TRUE(kernel_.RetireProcessor(0).ok());
+  kernel_.Run();
+  EXPECT_EQ(kernel_.stats().retirement_requeues, 0u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 0u);
+}
+
+// R1 and then R2 block receiving at a port, and R1 is quarantined. The host's first post
+// drops R1's record and hands the message to R2, which halts; the second post finds no
+// receiver and is queued.
+TEST_F(KernelTest, AHandoffSkipsAQuarantinedReceiver) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 2, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  Assembler a("receive");
+  a.MoveAd(1, kArgAdReg).Receive(2, 1).Halt();
+  ProcessOptions options;
+  options.initial_arg = port.value();
+  AccessDescriptor r1 = Spawn(a.Build(), options);
+  AccessDescriptor r2 = Spawn(a.Build(), options);
+  kernel_.Run();
+  ASSERT_EQ(View(r1).state(), ProcessState::kBlocked);
+  ASSERT_EQ(View(r2).state(), ProcessState::kBlocked);
+  machine_.table().At(r1.index()).quarantined = true;
+
+  EXPECT_TRUE(kernel_.PostMessage(port.value(), memory_.global_heap()).ok());
+  kernel_.Run();
+  EXPECT_EQ(View(r2).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(r2).Field(ProcessLayout::kOffMessagesReceived, 4), 1u);
+  EXPECT_EQ(kernel_.ports().QueuedCount(port.value()).value(), 0u);
+
+  EXPECT_TRUE(kernel_.PostMessage(port.value(), memory_.global_heap()).ok());
+  kernel_.Run();
+  EXPECT_EQ(kernel_.ports().QueuedCount(port.value()).value(), 1u);
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
+}
+
+// S1 sends into a capacity-1 port and blocks on its second send; S2 blocks on its first.
+// S1 is quarantined. The host's receive takes S1's first message, drops S1's record with
+// its second message and admits S2, whose message is the one left queued.
+TEST_F(KernelTest, AnAdmissionSkipsAQuarantinedSender) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 1, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  AccessDescriptor s1 = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_, [](Assembler& a) { a.Send(4, 3).Send(4, 2).Halt(); }, {},
+      port.value());
+  AccessDescriptor s2 = SpawnHoldingItsProcess(
+      machine_, memory_, kernel_, [](Assembler& a) { a.Send(4, 2).Halt(); }, {},
+      port.value());
+  kernel_.Run();
+  ASSERT_EQ(View(s1).state(), ProcessState::kBlocked);
+  ASSERT_EQ(View(s2).state(), ProcessState::kBlocked);
+  machine_.table().At(s1.index()).quarantined = true;
+
+  UntypedPorts ports(&kernel_);
+  auto first = ports.Receive(Port{port.value()});
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first.value().SameObject(s1));  // S1's first message, not its process AD
+  EXPECT_FALSE(kernel_.ports().PeekBlockedSender(port.value()).ok());
+  kernel_.Run();
+  EXPECT_EQ(View(s2).state(), ProcessState::kTerminated);
+  EXPECT_EQ(View(s2).fault_code(), Fault::kNone);
+  auto queued = kernel_.ports().Dequeue(port.value());
+  ASSERT_TRUE(queued.ok());
+  EXPECT_TRUE(queued.value().SameObject(s2));
+  EXPECT_EQ(kernel_.stats().processes_terminated, 1u);
+}
+
 TEST(KernelPinningTest, PatrolSweepsDuringATwoGdpLoopFindNothing) {
   SystemConfig config;
   config.processors = 2;
@@ -1748,6 +1841,33 @@ TEST_F(KernelDeathTest, PinnedViewOfADestroyedContextAborts) {
   EXPECT_DEATH((void)ctx.reg(1), "pinned access to a dead object");
   EXPECT_DEATH(ctx.set_pc(0), "pinned access to a dead object");
   EXPECT_DEATH((void)ctx.ad_reg(0), "pinned access to a dead object");
+}
+
+// A pinned Increment is one access: one check, one load, one store and one data_epoch bump.
+// Its one check still catches a destroyed object and a field past the data part.
+TEST_F(KernelDeathTest, PinnedIncrementOfADestroyedObjectAborts) {
+  auto object = memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 16, 0,
+                                     rights::kRead | rights::kWrite | rights::kDelete);
+  ASSERT_TRUE(object.ok());
+  const ObjectDescriptor& descriptor = machine_.table().At(object.value().index());
+  ObjectView pinned(&machine_.addressing(), object.value(), kPin);
+  uint32_t epoch = descriptor.data_epoch;
+  pinned.Increment(8, 8, 3);
+  EXPECT_EQ(pinned.Field(8, 8), 3u);
+  EXPECT_EQ(descriptor.data_epoch, epoch + 1);
+  ASSERT_TRUE(memory_.DestroyObject(object.value()).ok());
+  EXPECT_DEATH(pinned.Increment(8, 8), "pinned access to a dead object");
+}
+
+TEST_F(KernelDeathTest, PinnedIncrementPastTheDataPartAborts) {
+  auto object = memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 16, 0,
+                                     rights::kRead | rights::kWrite);
+  ASSERT_TRUE(object.ok());
+  ObjectView pinned(&machine_.addressing(), object.value(), kPin);
+  pinned.Increment(12, 4);
+  EXPECT_EQ(pinned.Field(12, 4), 1u);
+  EXPECT_DEATH(pinned.Increment(12, 8), "pinned access to a dead object");
+  EXPECT_DEATH(pinned.Increment(16, 1), "pinned access to a dead object");
 }
 
 }  // namespace
