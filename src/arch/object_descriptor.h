@@ -71,6 +71,10 @@ struct ObjectDescriptor : DescriptorLiveness {
   PhysAddr data_base = 0;
   uint32_t data_length = 0;
 
+  // Where this object sits in its origin SRO's object list (Sro::objects), kept by Sro so
+  // that forgetting the object needs no search. Stale once the object leaves the list.
+  uint32_t sro_position = 0;
+
   // Access part: typed AD slots (see file comment). access.size() <= kMaxAccessPartSlots.
   std::vector<AccessDescriptor> access;
 

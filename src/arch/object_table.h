@@ -9,7 +9,10 @@
 // `ObjectDescriptor::allocated`; the GC-exempt bitmap, the only record of which objects are
 // demoted (SetGcExempt); the GC color as a gray and a black bitmap (white is allocated and
 // in neither); and an origin bitmap, set while some allocated object names the slot as its
-// origin SRO (`ObjectDescriptor::origin_count` > 0).
+// origin SRO (`ObjectDescriptor::origin_count` > 0). A walk that visits many slots reads
+// them a 64-slot word at a time: the sweep through NextSweepCandidate, the collector's
+// termination rescan through gray_bits and black_bits. The mark tests a referent's white
+// bit (IsWhite) before it resolves the AD, so only white referents cost a descriptor read.
 
 #ifndef IMAX432_SRC_ARCH_OBJECT_TABLE_H_
 #define IMAX432_SRC_ARCH_OBJECT_TABLE_H_
@@ -97,22 +100,14 @@ class ObjectTable {
   // allocate or free slots between calls and still sees the table as it is:
   //   for (i = NextAllocated(0, end); i < end; i = NextAllocated(i + 1, end)) ...
   // visits exactly the slots a plain index loop would find allocated when it reached them.
-  // The GC-color iterators below keep the same contract.
+  // NextSweepCandidate keeps the same contract.
   ObjectIndex NextAllocated(ObjectIndex from, ObjectIndex end) const {
     return NextWhere(from, end, [](const BitmapWord& word) { return word.live; });
   }
   ObjectIndex NextExempt(ObjectIndex from, ObjectIndex end) const {
     return NextWhere(from, end, [](const BitmapWord& word) { return word.exempt; });
   }
-  // Gray slots; gray or black slots; and the slots a sweep may reclaim: allocated, white
-  // and not GC-exempt.
-  ObjectIndex NextGray(ObjectIndex from, ObjectIndex end) const {
-    return NextWhere(from, end, [](const BitmapWord& word) { return word.gray; });
-  }
-  ObjectIndex NextNonWhite(ObjectIndex from, ObjectIndex end) const {
-    return NextWhere(from, end,
-                     [](const BitmapWord& word) { return word.gray | word.black; });
-  }
+  // The slots a sweep may reclaim: allocated, white and not GC-exempt.
   ObjectIndex NextSweepCandidate(ObjectIndex from, ObjectIndex end) const {
     return NextWhere(from, end,
                      [](const BitmapWord& word) { return White(word) & ~word.exempt; });
@@ -143,6 +138,25 @@ class ObjectTable {
       return GcColor::kGray;
     }
     return (word.black & Bit(index)) ? GcColor::kBlack : GcColor::kWhite;
+  }
+  // True when `index` is an allocated white slot, the only kind Shade acts on. Any index
+  // is accepted: kInvalidObjectIndex and others past the table read false. It is one
+  // bitmap load, so a caller that would resolve an AD only to shade it tests this first.
+  bool IsWhite(ObjectIndex index) const {
+    const size_t word = index >> 6;
+    return word < words_.size() && (White(words_[word]) & Bit(index)) != 0;
+  }
+  // The color bitmaps a word at a time, for walks that visit many slots: bit b of word w
+  // is slot 64w + b, and bits past capacity are clear. The collector's termination rescan
+  // reads them.
+  size_t bitmap_words() const { return words_.size(); }
+  uint64_t gray_bits(size_t word) const {
+    IMAX_DCHECK(word < words_.size());
+    return words_[word].gray;
+  }
+  uint64_t black_bits(size_t word) const {
+    IMAX_DCHECK(word < words_.size());
+    return words_[word].black;
   }
   // The gray bit: an allocated white slot turns gray, and the call returns true. Any other
   // slot, free ones included, is left as it is.

@@ -103,7 +103,7 @@ Kernel::Kernel(Machine* machine, MemoryManager* memory)
     // the timer a no-op.
     uint32_t epoch = process_view(process).block_epoch() + 1;
     machine_->events().ScheduleAfter(timeout, [this, process, wait_port, epoch] {
-      if (!machine_->table().Resolve(process).ok()) {
+      if (!Readable(process)) {
         return;
       }
       ProcessView proc = process_view(process);

@@ -312,6 +312,12 @@ class Kernel {
   // at a non-port, or the port can be full) the woken process takes, never its waker. True
   // when it is back in the mix.
   bool Wake(const AccessDescriptor& process);
+  // False when `process` no longer resolves or is quarantined. Its state can no longer be
+  // read, so it never runs again: a GDP retirement does not rescue it, a handoff or an
+  // admission drops its blocked record, ending its blocking episode, and neither a timed
+  // receive's watchdog nor the fault service reads it, since a checked view of it would
+  // abort the host.
+  bool Readable(const AccessDescriptor& process) const;
 
  private:
   struct ProcessorRec {
@@ -381,11 +387,6 @@ class Kernel {
   // no longer be read), and whatever a process holding its own process AD sent to its
   // dispatching port by hand, such as a non-process object or itself while running.
   bool Dispatchable(const AccessDescriptor& ad) const;
-  // False when `process` no longer resolves or is quarantined. Its state can no longer be
-  // read, so it never runs again: a GDP retirement does not rescue it, and a handoff or an
-  // admission drops its blocked record, ending its blocking episode, instead of reading it
-  // through a checked view, which would abort the host.
-  bool Readable(const AccessDescriptor& process) const;
   // Schedule the processor's step or fetch as a processor event, whose argument is the
   // processor id shifted left one bit, plus one for a fetch (the handler the constructor
   // installs decodes it).

@@ -1,5 +1,7 @@
 #include "src/gc/collector.h"
 
+#include <bit>
+
 #include "src/base/check.h"
 #include "src/base/log.h"
 
@@ -12,12 +14,38 @@ void GarbageCollector::SetSystemTypeFilter(SystemType type,
   system_filters_[static_cast<int>(type)] = filter_port;
 }
 
-bool GarbageCollector::Shade(ObjectIndex index) {
-  if (!kernel_->machine().table().Shade(index)) {
-    return false;
+uint64_t TerminationRescan(ObjectTable& table, std::vector<ObjectIndex>* gray) {
+  // When the origin rule cannot fire, the walk reduces to the gray bitmap.
+  const bool visit_black = table.AnyWhiteOrigin();
+  uint64_t shaded = 0;
+  for (size_t w = 0; w < table.bitmap_words(); ++w) {
+    // Only a shade changes a color here, white to gray, so this word's bits stay exact
+    // until the origin rule shades a slot; the word is re-read then.
+    uint64_t gray_word = table.gray_bits(w);
+    uint64_t pending = visit_black ? gray_word | table.black_bits(w) : gray_word;
+    while (pending != 0) {
+      const int b = std::countr_zero(pending);
+      const uint64_t bit = uint64_t{1} << b;
+      pending &= pending - 1;
+      const ObjectIndex i = static_cast<ObjectIndex>(w * 64 + b);
+      if ((gray_word & bit) != 0) {
+        gray->push_back(i);
+        continue;
+      }
+      // Origin-SRO liveness: a live (black) object keeps its allocating SRO (and
+      // transitively that SRO's allocator) live, otherwise reclaiming the SRO would destroy
+      // live objects. A shaded origin above i is pushed again when the walk reaches it,
+      // still gray.
+      const ObjectIndex origin = table.At(i).origin_sro;
+      if (origin != kInvalidObjectIndex && table.Shade(origin)) {
+        gray->push_back(origin);
+        ++shaded;
+        gray_word = table.gray_bits(w);
+        pending = (gray_word | table.black_bits(w)) & ~((bit << 1) - 1);
+      }
+    }
   }
-  gray_.push_back(index);
-  return true;
+  return shaded;
 }
 
 void GarbageCollector::ShadeRoots() {
@@ -26,9 +54,7 @@ void GarbageCollector::ShadeRoots() {
   kernel_->AppendRoots(&roots);
   roots.push_back(kernel_->memory().global_heap());
   for (const AccessDescriptor& root : roots) {
-    if (!root.is_null() && table.Resolve(root).ok()) {
-      Shade(root.index());
-    }
+    ShadeReferent(table, root);
   }
   // Demoted (GC-exempt) objects are never traced — they stay black — but anything they
   // reference is live for as long as their demote SRO exists, so their outgoing slots are
@@ -36,12 +62,11 @@ void GarbageCollector::ShadeRoots() {
   // be swept while still reachable. (Only allocated slots carry the exempt bit.)
   const ObjectIndex end = table.capacity();
   for (ObjectIndex i = table.NextExempt(0, end); i < end; i = table.NextExempt(i + 1, end)) {
-    for (const AccessDescriptor& slot : table.At(i).access) {
-      if (!slot.is_null() && table.Resolve(slot).ok()) {
-        Shade(slot.index());
-      }
-      ++stats_.slots_scanned;
+    const ObjectDescriptor& descriptor = table.At(i);
+    for (const AccessDescriptor& slot : descriptor.access) {
+      ShadeReferent(table, slot);
     }
+    stats_.slots_scanned += descriptor.access_count();
   }
 }
 
@@ -61,34 +86,13 @@ void GarbageCollector::BeginCycle() {
 }
 
 bool GarbageCollector::MarkFixpoint() {
-  ObjectTable& table = kernel_->machine().table();
   IMAX_DCHECK(gray_.empty());
 
   // Dijkstra's termination scan: the mutator's gray bit marks objects gray *in place* (the
   // hardware cannot push onto the collector's worklist), so the collector must rescan for
   // gray objects until a full pass finds none. This is the "minimal synchronization"
-  // between mutators and the collector. The scan walks the non-white slots in ascending
-  // order, pushing gray ones and applying the origin-SRO rule to black ones; when no
-  // allocated white slot is anyone's origin SRO, that rule cannot fire, and the walk
-  // reduces to the gray bitmap: the same pushes, in the same order.
-  const ObjectIndex end = table.capacity();
-  const bool origins_may_fire = table.AnyWhiteOrigin();
-  auto next = [&](ObjectIndex from) {
-    return origins_may_fire ? table.NextNonWhite(from, end) : table.NextGray(from, end);
-  };
-  for (ObjectIndex i = next(0); i < end; i = next(i + 1)) {
-    if (table.color(i) == GcColor::kGray) {
-      gray_.push_back(i);
-      continue;
-    }
-    // Origin-SRO liveness: a live (black) object keeps its allocating SRO (and transitively
-    // that SRO's allocator) live, otherwise reclaiming the SRO would destroy live objects.
-    // A shaded origin above i is pushed again when the walk reaches it, still gray.
-    ObjectIndex origin = table.At(i).origin_sro;
-    if (origin != kInvalidObjectIndex && Shade(origin)) {
-      ++stats_.sros_kept_live;
-    }
-  }
+  // between mutators and the collector.
+  stats_.sros_kept_live += TerminationRescan(kernel_->machine().table(), &gray_);
 
   // Fresh root snapshot: processes may have moved into shadow queues since the last one.
   ShadeRoots();
@@ -141,11 +145,9 @@ bool GarbageCollector::Step(uint32_t units) {
         }
         // Blacken: scan every AD slot, shading white referents.
         for (const AccessDescriptor& slot : descriptor.access) {
-          if (!slot.is_null() && table.Resolve(slot).ok()) {
-            Shade(slot.index());
-          }
-          ++stats_.slots_scanned;
+          ShadeReferent(table, slot);
         }
+        stats_.slots_scanned += descriptor.access_count();
         table.Blacken(index);
         ++stats_.objects_scanned;
         uint32_t cost = 1 + descriptor.access_count();

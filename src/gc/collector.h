@@ -17,8 +17,13 @@
 // host finds the slots that matter from the table's bitmaps (live, GC-exempt, gray, black,
 // origin; see object_table.h) in ascending order, so it does the same work in the same
 // order as a loop over every descriptor would: whiten rewrites the color bitmaps a word at a
-// time, sweep visits only white slots, and the mark's termination rescan visits only gray
-// slots unless some white slot is an origin SRO, when it walks the non-white ones.
+// time, sweep visits only white slots, and the mark's termination rescan (TerminationRescan)
+// visits only gray slots unless some white slot is an origin SRO, when it visits the
+// non-white ones. The rescan goes by the bitmap word, not by the slot: on `swap_gc_churn`
+// each first rescan of a cycle visits about 2,000 mostly black slots, and a call or two per
+// slot to find, color-test and shade it cost more than the descriptor loads. The mark
+// reads a referent's white bit before it resolves the AD, since only a white referent can
+// be shaded, and counts an object's scanned slots with one add.
 //
 // Two extensions beyond plain Dijkstra, both from the paper:
 //   - SRO liveness: a storage resource object is live while any object allocated from it is
@@ -53,6 +58,15 @@ struct GcStats {
   uint64_t filter_send_failures = 0; // filter port full: object survives to next cycle
   uint64_t exempt_objects_skipped = 0;  // demoted (GC-exempt) objects held black at whiten
 };
+
+// Dijkstra's termination rescan over `table`, in ascending slot order: appends each gray
+// slot to `gray` and applies the origin-SRO rule to each black one, shading the slot's
+// white origin SRO and appending it too; an origin shaded above the current slot is
+// appended again when the walk reaches it, still gray. When no allocated white slot is
+// anyone's origin (ObjectTable::AnyWhiteOrigin), the rule cannot fire and only gray slots
+// are visited. Returns how many origins it shaded. It reads the color bitmaps a word at a
+// time and re-reads the current word only after a shade.
+uint64_t TerminationRescan(ObjectTable& table, std::vector<ObjectIndex>* gray);
 
 class GarbageCollector {
  public:
@@ -120,9 +134,19 @@ class GarbageCollector {
   enum class Phase : uint8_t { kIdle, kWhiten, kMark, kSweep };
 
   void ShadeRoots();
-  // Shades an allocated white object gray and pushes it on the mark worklist; returns
-  // whether it did.
-  bool Shade(ObjectIndex index);
+  // Shades an allocated white object gray and pushes it on the mark worklist.
+  void Shade(ObjectIndex index) {
+    if (kernel_->machine().table().Shade(index)) {
+      gray_.push_back(index);
+    }
+  }
+  // Shades the object `ad` names when it is white and `ad` still resolves. The white bit is
+  // tested first, so a referent that cannot be shaded costs no descriptor read.
+  void ShadeReferent(const ObjectTable& table, const AccessDescriptor& ad) {
+    if (table.IsWhite(ad.index()) && table.Resolve(ad).ok()) {
+      Shade(ad.index());
+    }
+  }
   // Records a phase transition on the machine's event trace.
   void EmitPhase();
   // Runs the end-of-mark fixpoint checks (origin SROs, fresh roots). Returns true if new

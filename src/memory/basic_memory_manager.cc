@@ -82,7 +82,7 @@ Result<AccessDescriptor> BasicMemoryManager::CreateObject(const AccessDescriptor
   // The create-object instruction delivers a zeroed segment.
   IMAX_CHECK(machine_->memory().Zero(base, data_bytes).ok());
 
-  sro->RecordObject(index.value());
+  sro->RecordObject(machine_->table(), index.value());
   SyncSroCounters(*sro);
   ++stats_.objects_created;
   stats_.resident_bytes += data_bytes;
@@ -113,7 +113,7 @@ Status BasicMemoryManager::DestroyByIndex(ObjectIndex index, bool forget_in_orig
       origin->FreeRange(descriptor.data_base, descriptor.storage_claim);
     }
     if (forget_in_origin) {
-      origin->ForgetObject(index);
+      origin->ForgetObject(machine_->table(), index);
     }
     SyncSroCounters(*origin);
   }
@@ -156,7 +156,7 @@ Result<AccessDescriptor> BasicMemoryManager::CreateLocalSro(const AccessDescript
     parent->FreeRange(self_base.value(), claim);
     return index.fault();
   }
-  parent->RecordObject(index.value());
+  parent->RecordObject(machine_->table(), index.value());
   SyncSroCounters(*parent);
 
   auto sro = std::make_unique<Sro>(index.value(), level, region_base, bytes, parent->self());

@@ -55,14 +55,6 @@ void Sro::FreeRange(PhysAddr base, uint32_t bytes) {
   }
 }
 
-void Sro::ForgetObject(ObjectIndex index) {
-  auto it = std::find(objects_.begin(), objects_.end(), index);
-  if (it != objects_.end()) {
-    *it = objects_.back();
-    objects_.pop_back();
-  }
-}
-
 uint32_t Sro::largest_free_extent() const {
   uint32_t best = 0;
   for (const Extent& extent : extents_) {

@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/arch/object_table.h"
 #include "src/arch/types.h"
+#include "src/base/check.h"
 #include "src/base/result.h"
 
 namespace imax432 {
@@ -57,9 +59,27 @@ class Sro {
 
   // Object bookkeeping: the manager records every object allocated from this SRO so that
   // destroying the SRO can reclaim them in bulk ("objects may be destroyed whenever their
-  // ancestral SRO is destroyed, without leaving dangling references").
-  void RecordObject(ObjectIndex index) { objects_.push_back(index); }
-  void ForgetObject(ObjectIndex index);
+  // ancestral SRO is destroyed, without leaving dangling references"). `index` is a slot of
+  // `table`, recorded in at most one SRO until it is forgotten or taken. Forgetting moves
+  // the last object into the forgotten one's place (the swapping manager's eviction scan
+  // walks the list in that order), and each object's place is kept in its descriptor
+  // (ObjectDescriptor::sro_position), so it takes no search. Forgetting an object this SRO
+  // does not hold is a no-op.
+  void RecordObject(ObjectTable& table, ObjectIndex index) {
+    IMAX_DCHECK(!Holds(table, index));
+    table.At(index).sro_position = static_cast<uint32_t>(objects_.size());
+    objects_.push_back(index);
+  }
+  void ForgetObject(ObjectTable& table, ObjectIndex index) {
+    if (!Holds(table, index)) {
+      return;
+    }
+    const ObjectIndex last = objects_.back();
+    const uint32_t position = table.At(index).sro_position;
+    objects_[position] = last;
+    table.At(last).sro_position = position;
+    objects_.pop_back();
+  }
 
   const std::vector<ObjectIndex>& objects() const { return objects_; }
   std::vector<ObjectIndex> TakeObjects() { return std::move(objects_); }
@@ -81,6 +101,14 @@ class Sro {
     PhysAddr base;
     uint32_t length;
   };
+
+  // True when `index` is on this SRO's object list. Its recorded place is kept current
+  // while it is on the list, and a place left stale by a forget or a take cannot hold it,
+  // since it is then nowhere on the list.
+  bool Holds(const ObjectTable& table, ObjectIndex index) const {
+    const uint32_t position = table.At(index).sro_position;
+    return position < objects_.size() && objects_[position] == index;
+  }
 
   ObjectIndex self_;
   Level level_;

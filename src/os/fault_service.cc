@@ -71,8 +71,8 @@ Result<AccessDescriptor> FaultService::Spawn(const AccessDescriptor& escalation_
 }
 
 void FaultService::Handle(const AccessDescriptor& process) {
-  if (!kernel_->machine().table().Resolve(process).ok()) {
-    return;  // already reclaimed
+  if (!kernel_->Readable(process)) {
+    return;  // already reclaimed, or quarantined: its state can no longer be read
   }
   ++stats_.received;
   ProcessView proc = kernel_->process_view(process);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "src/base/xorshift.h"
@@ -252,14 +253,24 @@ TEST(ObjectTableTest, BitmapIteratorsMatchTheDescriptorsUnderRandomChurn) {
   }
 }
 
-// The slots each GC-color iterator visits over the whole table.
+// The slots whose bit is set in bits(w), for each bitmap word w in turn.
+template <typename Bits>
+std::vector<ObjectIndex> SetSlots(const ObjectTable& table, Bits bits) {
+  std::vector<ObjectIndex> slots;
+  for (size_t w = 0; w < table.bitmap_words(); ++w) {
+    for (uint64_t word = bits(w); word != 0; word &= word - 1) {
+      slots.push_back(static_cast<ObjectIndex>(w * 64 + std::countr_zero(word)));
+    }
+  }
+  return slots;
+}
+
+// The gray slots, the gray or black ones, and the sweep candidates of the whole table.
 std::vector<ObjectIndex> Gray(const ObjectTable& table) {
-  const ObjectIndex end = table.capacity();
-  return WalkWith(0, end, [&](ObjectIndex i) { return table.NextGray(i, end); });
+  return SetSlots(table, [&](size_t w) { return table.gray_bits(w); });
 }
 std::vector<ObjectIndex> NonWhite(const ObjectTable& table) {
-  const ObjectIndex end = table.capacity();
-  return WalkWith(0, end, [&](ObjectIndex i) { return table.NextNonWhite(i, end); });
+  return SetSlots(table, [&](size_t w) { return table.gray_bits(w) | table.black_bits(w); });
 }
 std::vector<ObjectIndex> SweepCandidates(const ObjectTable& table) {
   const ObjectIndex end = table.capacity();
@@ -294,8 +305,15 @@ TEST(ObjectTableTest, ColorBitmapsHandleWordEdges) {
   EXPECT_EQ(table.color(64), GcColor::kBlack);
   EXPECT_EQ(Gray(table), (std::vector<ObjectIndex>{63, 127, 128, 129}));
   EXPECT_EQ(NonWhite(table), (std::vector<ObjectIndex>{0, 63, 64, 127, 128, 129}));
-  EXPECT_EQ(table.NextGray(64, 127), 127u);
-  EXPECT_EQ(table.NextGray(64, 100), 100u);
+  // Slots 63 and 127 are the top bits of their words; the last word holds 128 and 129
+  // only, and its bits past capacity stay clear.
+  EXPECT_EQ(table.bitmap_words(), 3u);
+  EXPECT_EQ(table.gray_bits(0), uint64_t{1} << 63);
+  EXPECT_EQ(table.black_bits(0), uint64_t{1});
+  EXPECT_EQ(table.gray_bits(1), uint64_t{1} << 63);
+  EXPECT_EQ(table.black_bits(1), uint64_t{1});
+  EXPECT_EQ(table.gray_bits(2), uint64_t{3});
+  EXPECT_EQ(table.black_bits(2), uint64_t{0});
   EXPECT_EQ(table.NextSweepCandidate(63, 130), 65u);
   EXPECT_EQ(table.NextSweepCandidate(127, 130), 130u);
 
@@ -325,9 +343,18 @@ TEST(ObjectTableTest, ColorBitmapsHandleWordEdges) {
   // Freeing a gray slot leaves it white and out of every walk, and a free slot cannot be
   // shaded. Freeing the only object allocated from 64 ends 64's time as an origin.
   ASSERT_TRUE(table.Shade(129));
+  EXPECT_FALSE(table.IsWhite(129));
   ASSERT_TRUE(table.Free(129).ok());
   EXPECT_EQ(table.color(129), GcColor::kWhite);
+  EXPECT_FALSE(table.IsWhite(129));  // white in color, but free: Shade does nothing
   EXPECT_FALSE(table.Shade(129));
+  EXPECT_TRUE(table.IsWhite(128));
+  // Indices the table has no slot for: past capacity in the last word, past the last
+  // word, and the null AD's.
+  EXPECT_FALSE(table.IsWhite(130));
+  EXPECT_FALSE(table.IsWhite(191));
+  EXPECT_FALSE(table.IsWhite(192));
+  EXPECT_FALSE(table.IsWhite(kInvalidObjectIndex));
   EXPECT_TRUE(Gray(table).empty());
   EXPECT_EQ(table.NextSweepCandidate(128, 130), 128u);
   EXPECT_EQ(table.NextSweepCandidate(129, 130), 130u);
@@ -404,6 +431,8 @@ TEST(ObjectTableTest, ColorStateMatchesAReferenceModelUnderRandomChurn) {
     for (ObjectIndex i = 0; i < kCapacity; ++i) {
       const Slot& slot = model[i];
       ASSERT_EQ(table.color(i), slot.color) << "slot " << i << " at step " << step;
+      ASSERT_EQ(table.IsWhite(i), slot.allocated && slot.color == GcColor::kWhite)
+          << "slot " << i << " at step " << step;
       ASSERT_EQ(table.gc_exempt(i), slot.exempt) << "slot " << i << " at step " << step;
       ASSERT_EQ(table.At(i).origin_count, origin_count[i])
           << "slot " << i << " at step " << step;

@@ -56,6 +56,24 @@ TEST_F(TimedReceiveTest, ExpiryFaultsWithTimeout) {
   EXPECT_FALSE(kernel_.ports().HasBlockedReceiver(port.value()));
 }
 
+// A process quarantined while it waits in a timed receive can no longer be read: when the
+// timeout expires, the watchdog leaves it alone instead of reading its state through a
+// checked view, which would abort the host.
+TEST_F(TimedReceiveTest, ExpiryLeavesAQuarantinedReceiverAlone) {
+  auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
+  ASSERT_TRUE(port.ok());
+  AccessDescriptor process = SpawnTimedReceiver(port.value(), /*timeout=*/10000);
+  kernel_.RunUntil(machine_.now() + 5000);
+  ASSERT_EQ(kernel_.process_view(process).state(), ProcessState::kBlocked);
+  machine_.table().At(process.index()).quarantined = true;
+  kernel_.Run();  // the watchdog fires
+  EXPECT_EQ(kernel_.stats().processes_terminated, 0u);
+  machine_.table().At(process.index()).quarantined = false;  // to read it here
+  ProcessView view = kernel_.process_view(process);
+  EXPECT_EQ(view.state(), ProcessState::kBlocked);
+  EXPECT_EQ(view.fault_code(), Fault::kNone);
+}
+
 TEST_F(TimedReceiveTest, MessageBeforeExpiryDeliversNormally) {
   auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
   ASSERT_TRUE(port.ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/base/xorshift.h"
 #include "src/memory/basic_memory_manager.h"
 #include "src/os/type_manager.h"
@@ -558,6 +562,166 @@ TEST(CollectorChargeTest, TerminationRescanKeepsTheWalksPushOrderIncrementally) 
   EXPECT_EQ(stats.sros_kept_live, 1u);
   EXPECT_EQ(stats.objects_reclaimed, 1u);
   EXPECT_EQ(rig.gc.work_units(), 17424u);
+}
+
+// The termination rescan as a loop over every slot, reading each color as it reaches the
+// slot: a gray slot is pushed, and a black one has its white origin shaded and pushed, so
+// an origin shaded above the current slot is pushed again on reaching it.
+uint64_t SlotBySlotRescan(ObjectTable& table, std::vector<ObjectIndex>* gray) {
+  uint64_t shaded = 0;
+  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+    const GcColor color = table.color(i);
+    if (color == GcColor::kGray) {
+      gray->push_back(i);
+    } else if (color == GcColor::kBlack) {
+      const ObjectIndex origin = table.At(i).origin_sro;
+      if (origin != kInvalidObjectIndex && table.Shade(origin)) {
+        gray->push_back(origin);
+        ++shaded;
+      }
+    }
+  }
+  return shaded;
+}
+
+// Allocates every slot of `table` in ascending order, slot i naming origins[i] (or none).
+void AllocateAll(ObjectTable* table, const std::vector<ObjectIndex>& origins) {
+  for (ObjectIndex i = 0; i < table->capacity(); ++i) {
+    auto index = table->Allocate(SystemType::kGeneric, 0, 0, 0, 0, origins[i], 0);
+    ASSERT_TRUE(index.ok());
+    ASSERT_EQ(index.value(), i);
+  }
+}
+
+// 130 slots, three bitmap words, the last holding 128 and 129 only. Black slots name
+// white origins above them in the same word (5 -> 40, 62 -> 63, exempt 85 -> 86), below
+// them in the same word (70 -> 65), in a lower word (100 -> 10, 129 -> 120) and, from the
+// top bit of a word, in the next one (127 -> 128). Others name a gray origin (90 -> 95) or
+// a free one (80 -> 81), and gray 2 names white 50, which the rule leaves alone.
+void BuildEdgeTable(ObjectTable* table) {
+  std::vector<ObjectIndex> origins(130, kInvalidObjectIndex);
+  const std::pair<ObjectIndex, ObjectIndex> named[] = {
+      {5, 40},   {62, 63},   {85, 86}, {70, 65}, {100, 10},
+      {129, 120}, {127, 128}, {90, 95}, {80, 81}, {2, 50}};
+  for (const auto& [slot, origin] : named) {
+    origins[slot] = origin;
+  }
+  ASSERT_NO_FATAL_FAILURE(AllocateAll(table, origins));
+  ASSERT_TRUE(table->Free(81).ok());
+  for (ObjectIndex gray : {2u, 95u}) {
+    ASSERT_TRUE(table->Shade(gray));
+  }
+  for (ObjectIndex black : {5u, 62u, 70u, 80u, 90u, 100u, 127u, 129u}) {
+    table->Blacken(black);
+  }
+  table->SetGcExempt(85);
+}
+
+TEST(TerminationRescanTest, PushesOriginsAboveBelowAndInTheSameWordAsTheWalkDid) {
+  ObjectTable table(130);
+  ObjectTable reference_table(130);
+  ASSERT_NO_FATAL_FAILURE(BuildEdgeTable(&table));
+  ASSERT_NO_FATAL_FAILURE(BuildEdgeTable(&reference_table));
+  ASSERT_TRUE(table.AnyWhiteOrigin());
+
+  std::vector<ObjectIndex> pushed;
+  EXPECT_EQ(TerminationRescan(table, &pushed), 7u);
+  EXPECT_EQ(pushed, (std::vector<ObjectIndex>{2, 40, 40, 63, 63, 65, 86, 86, 95, 10, 128,
+                                              128, 120}));
+  std::vector<ObjectIndex> reference;
+  EXPECT_EQ(SlotBySlotRescan(reference_table, &reference), 7u);
+  EXPECT_EQ(pushed, reference);
+  EXPECT_EQ(table.color(50), GcColor::kWhite);
+  EXPECT_EQ(table.color(81), GcColor::kWhite);
+  EXPECT_TRUE(table.AnyWhiteOrigin());  // 50, named only by a gray slot
+}
+
+// Seeded random tables of several sizes, a multiple of 64 and not: every slot allocated
+// with no origin, one in its own word or any slot, a sixth then freed, the rest white,
+// gray, black or exempt. In a third of them every white origin is then colored, so the
+// rescan takes its gray-only path. The word walk must push what the slot-by-slot walk
+// pushes, in its order, shade as many origins, and leave the same colors.
+TEST(TerminationRescanTest, WordWalkMatchesASlotBySlotWalk) {
+  auto build = [](ObjectTable* table, uint64_t seed, bool no_white_origin) {
+    Xorshift rng(seed);
+    const ObjectIndex n = table->capacity();
+    std::vector<ObjectIndex> origins(n, kInvalidObjectIndex);
+    for (ObjectIndex i = 0; i < n; ++i) {
+      const ObjectIndex word_base = i & ~ObjectIndex{63};
+      const uint64_t pick = rng.NextBelow(3);
+      if (pick == 1) {
+        origins[i] = word_base + static_cast<ObjectIndex>(
+                                     rng.NextBelow(std::min<ObjectIndex>(64, n - word_base)));
+      } else if (pick == 2) {
+        origins[i] = static_cast<ObjectIndex>(rng.NextBelow(n));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(AllocateAll(table, origins));
+    for (ObjectIndex i = 0; i < n; ++i) {
+      if (rng.NextChance(1, 6)) {
+        ASSERT_TRUE(table->Free(i).ok());
+      }
+    }
+    for (ObjectIndex i = 0; i < n; ++i) {
+      if (!table->At(i).allocated) {
+        continue;
+      }
+      const uint64_t color = rng.NextBelow(4);
+      if (color == 1) {
+        table->Shade(i);
+      } else if (color == 2) {
+        table->Blacken(i);
+      } else if (color == 3) {
+        table->SetGcExempt(i);
+      }
+    }
+    if (no_white_origin) {
+      for (ObjectIndex i = 0; i < n; ++i) {
+        if (table->IsWhite(i) && table->At(i).origin_count > 0) {
+          if (rng.NextChance(1, 2)) {
+            table->Shade(i);
+          } else {
+            table->Blacken(i);
+          }
+        }
+      }
+    }
+  };
+
+  constexpr ObjectIndex kCapacities[] = {64, 130, 200, 256, 301};
+  uint32_t walks_with_origins = 0;
+  uint32_t gray_only_walks = 0;
+  uint64_t total_shaded = 0;
+  for (uint32_t trial = 0; trial < 150; ++trial) {
+    const ObjectIndex capacity = kCapacities[trial % 5];
+    const uint64_t seed = 20261019 + trial;
+    const bool settle = trial % 3 == 0;
+    ObjectTable table(capacity);
+    ObjectTable reference_table(capacity);
+    ASSERT_NO_FATAL_FAILURE(build(&table, seed, settle));
+    ASSERT_NO_FATAL_FAILURE(build(&reference_table, seed, settle));
+    const bool white_origin = table.AnyWhiteOrigin();
+    if (settle) {
+      ASSERT_FALSE(white_origin) << "trial " << trial;
+    }
+    (white_origin ? walks_with_origins : gray_only_walks) += 1;
+
+    std::vector<ObjectIndex> pushed;
+    std::vector<ObjectIndex> reference;
+    const uint64_t shaded = TerminationRescan(table, &pushed);
+    ASSERT_EQ(shaded, SlotBySlotRescan(reference_table, &reference)) << "trial " << trial;
+    ASSERT_EQ(pushed, reference) << "trial " << trial;
+    for (ObjectIndex i = 0; i < capacity; ++i) {
+      ASSERT_EQ(table.color(i), reference_table.color(i)) << "slot " << i << ", trial " << trial;
+    }
+    if (!white_origin) {
+      ASSERT_EQ(shaded, 0u) << "trial " << trial;
+    }
+    total_shaded += shaded;
+  }
+  EXPECT_GE(walks_with_origins, 90u);
+  EXPECT_GE(gray_only_walks, 50u);
+  EXPECT_GT(total_shaded, 500u);
 }
 
 }  // namespace

@@ -128,6 +128,42 @@ TEST_F(FaultServiceTest, DefaultActionTerminates) {
   EXPECT_EQ(kernel_.process_view(process.value()).state(), ProcessState::kTerminated);
 }
 
+// A quarantined process that reaches the fault port can no longer be read: the service
+// skips it, as the dispatcher does, instead of reading its fault code through a checked
+// view, which would abort the host. The next faulted process is handled as usual.
+TEST_F(FaultServiceTest, AQuarantinedProcessIsSkipped) {
+  FaultPolicy policy;  // nothing listed: everything terminates
+  FaultService service(&kernel_, policy);
+  auto fault_port = service.Spawn();
+  ASSERT_TRUE(fault_port.ok());
+  kernel_.Run();
+
+  Assembler idle("never-started");
+  idle.Halt();
+  auto quarantined = kernel_.CreateProcess(idle.Build(), ProcessOptions{});
+  ASSERT_TRUE(quarantined.ok());
+  machine_.table().At(quarantined.value().index()).quarantined = true;
+  ASSERT_TRUE(kernel_.PostMessage(fault_port.value(), quarantined.value()).ok());
+  kernel_.Run();
+  EXPECT_EQ(service.stats().received, 0u);
+  EXPECT_EQ(service.stats().terminated, 0u);
+
+  Assembler a("doomed");
+  a.LoadData(0, 1, 0, 8).Halt();
+  ProcessOptions options;
+  options.fault_port = fault_port.value();
+  auto process = kernel_.CreateProcess(a.Build(), options);
+  ASSERT_TRUE(process.ok());
+  kernel_.AddRootProvider([ad = process.value()](std::vector<AccessDescriptor>* roots) {
+    roots->push_back(ad);
+  });
+  ASSERT_TRUE(kernel_.StartProcess(process.value()).ok());
+  kernel_.Run();
+  EXPECT_EQ(service.stats().received, 1u);
+  EXPECT_EQ(service.stats().terminated, 1u);
+  EXPECT_EQ(kernel_.process_view(process.value()).state(), ProcessState::kTerminated);
+}
+
 TEST_F(FaultServiceTest, EscalationForwardsTheProcessObject) {
   auto escalation =
       kernel_.ports().CreatePort(memory_.global_heap(), 8, QueueDiscipline::kFifo);
